@@ -1,14 +1,13 @@
 // Command vmr2l-eval evaluates a trained checkpoint with risk-seeking
 // sampling (paper section 3.4) against the HA heuristic on test mappings:
 //
-//	vmr2l-eval -ckpt vmr2l.gob -profile medium-small -mnl 20 -traj 16
-//	vmr2l-eval -ckpt vmr2l.gob -export vmr2l.ckpt -int8   # convert, no eval
+//	vmr2l-eval -ckpt vmr2l.ckpt -profile medium-small -mnl 20 -traj 16
+//	vmr2l-eval -ckpt vmr2l.ckpt -export vmr2l-q8.ckpt -int8   # re-export, no eval
 //
 // It reports FR for one greedy trajectory, K sampled trajectories, and K
 // thresholded trajectories, mirroring paper Fig. 12. With -export it instead
-// re-encodes the loaded checkpoint (either format) as a portable
-// self-describing ckpt — optionally int8-quantized — and exits; the solve
-// produced by a float re-export is bit-identical to the original.
+// re-encodes the loaded checkpoint — optionally int8-quantized — and exits;
+// the solve produced by a float re-export is bit-identical to the original.
 package main
 
 import (
@@ -31,7 +30,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vmr2l-eval: ")
 	var (
-		ckpt    = flag.String("ckpt", "vmr2l.gob", "checkpoint path")
+		ckpt    = flag.String("ckpt", "vmr2l.ckpt", "checkpoint path")
 		profile = flag.String("profile", "medium-small", "dataset profile")
 		nMaps   = flag.Int("maps", 6, "test mappings to evaluate")
 		mnl     = flag.Int("mnl", 10, "migration number limit")
@@ -40,7 +39,7 @@ func main() {
 		seed    = flag.Int64("seed", 99, "random seed")
 		dModel  = flag.Int("dmodel", 32, "embedding width (must match training)")
 		blocks  = flag.Int("blocks", 2, "attention blocks (must match training)")
-		export  = flag.String("export", "", "re-encode -ckpt as a portable ckpt at this path and exit")
+		export  = flag.String("export", "", "re-encode -ckpt at this path and exit")
 		toInt8  = flag.Bool("int8", false, "quantize large linears to int8 before -export")
 	)
 	flag.Parse()

@@ -4,13 +4,13 @@
 // asynchronous-first — solves run on a bounded worker pool under the
 // five-second latency budget, so every engine returns an anytime plan.
 //
-//	vmr2l-server -addr :8080 -workers 4 -queue 64 -timeout 5s -ckpt vmr2l.gob
+//	vmr2l-server -addr :8080 -workers 4 -queue 64 -timeout 5s -ckpt vmr2l.ckpt
 //	vmr2l-server -pprof 6060       # expose net/http/pprof on 127.0.0.1:6060
 //	vmr2l-server doctor -ckpt vmr2l.ckpt -addr :8080   # preflight, exit 1 on failure
 //
 // The doctor subcommand runs the serving preflight without starting the
-// server: the checkpoint must be readable in either format (self-describing
-// ckpt or legacy gob) with every tensor shape matching the configured model
+// server: the checkpoint must be a readable VMR2LCK1 file (self-describing
+// manifest) with every tensor shape matching the configured model
 // (dtype and quantized layers are reported), the engine set must register,
 // and the listen address must be bindable. With -coord it also probes the
 // fleet coordinator (vmr2l-coord): reachable, at least one Up replica, hash
@@ -161,13 +161,13 @@ func runDoctor(args []string) {
 
 	var m *policy.Model
 	if *ckpt != "" {
-		// 1. Checkpoint self-description: readable, known format.
-		info, err := nn.InspectFile(*ckpt)
+		// 1. Checkpoint self-description: readable manifest.
+		man, err := nn.InspectFile(*ckpt)
 		if err != nil {
 			log.Fatalf("doctor: checkpoint %s unreadable: %v", *ckpt, err)
 		}
 		byDType := map[string]int{}
-		for _, t := range info.Manifest.Tensors {
+		for _, t := range man.Tensors {
 			byDType[t.DType]++
 		}
 		var dtypes []string
@@ -176,8 +176,8 @@ func runDoctor(args []string) {
 				dtypes = append(dtypes, fmt.Sprintf("%d %s", byDType[d], d))
 			}
 		}
-		fmt.Printf("doctor: checkpoint %s: format %s v%d, %d tensors (%s)\n",
-			*ckpt, info.Format, info.Manifest.Version, len(info.Manifest.Tensors), strings.Join(dtypes, ", "))
+		fmt.Printf("doctor: checkpoint %s: format ckpt v%d, %d tensors (%s)\n",
+			*ckpt, man.Version, len(man.Tensors), strings.Join(dtypes, ", "))
 
 		// 2. Shape validation against the configured model; a mismatch names
 		// the offending tensor.

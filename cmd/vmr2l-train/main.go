@@ -2,15 +2,15 @@
 // on the fly from a profile, or loaded from vmr2l-datagen output) and saves
 // a checkpoint:
 //
-//	vmr2l-train -profile medium-small -mnl 20 -updates 60 -ckpt agent.gob
-//	vmr2l-train -ckpt agent.ckpt -format ckpt -int8   # portable int8 export
+//	vmr2l-train -profile medium-small -mnl 20 -updates 60 -ckpt agent.ckpt
+//	vmr2l-train -ckpt agent.ckpt -int8   # int8 export
 //
 // Architecture and action-space ablations are exposed as flags so the
 // paper's variants (vanilla attention, penalty, full-mask, Decima-style
-// subsampling) can be trained with the same binary. -format selects the
-// checkpoint encoding: "gob" (legacy) or "ckpt" (self-describing manifest +
-// raw tensor data; see internal/nn). -int8 additionally quantizes the large
-// linears so the exported checkpoint serves on the int8 path.
+// subsampling) can be trained with the same binary. The checkpoint is a
+// VMR2LCK1 file (self-describing manifest + raw tensor data; see
+// internal/nn). -int8 additionally quantizes the large linears so the
+// exported checkpoint serves on the int8 path.
 package main
 
 import (
@@ -36,7 +36,7 @@ func main() {
 		nMaps     = flag.Int("maps", 24, "mappings to generate when -data is unset")
 		mnl       = flag.Int("mnl", 10, "migration number limit (episode length)")
 		updates   = flag.Int("updates", 40, "PPO updates")
-		ckpt      = flag.String("ckpt", "vmr2l.gob", "checkpoint output path")
+		ckpt      = flag.String("ckpt", "vmr2l.ckpt", "checkpoint output path")
 		seed      = flag.Int64("seed", 1, "random seed")
 		dModel    = flag.Int("dmodel", 32, "embedding width")
 		blocks    = flag.Int("blocks", 2, "attention blocks")
@@ -48,8 +48,7 @@ func main() {
 		freeze    = flag.String("freeze", "", "comma-separated parameter-name prefixes to freeze (e.g. \"block0,pm_embed\")")
 		riskQ     = flag.Float64("risk-quantile", 0, "risk-seeking training quantile in (0,1); 0 disables")
 		workers   = flag.Int("workers", 1, "parallel rollout-collection goroutines")
-		format    = flag.String("format", "gob", "checkpoint encoding: gob|ckpt")
-		toInt8    = flag.Bool("int8", false, "quantize large linears to int8 before saving (requires -format ckpt)")
+		toInt8    = flag.Bool("int8", false, "quantize large linears to int8 before saving")
 	)
 	flag.Parse()
 
@@ -126,24 +125,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch *format {
-	case "gob":
-		if *toInt8 {
-			log.Fatal("-int8 requires -format ckpt (gob has no quantized encoding)")
-		}
-		if err := m.Params.SaveFile(*ckpt); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("saved checkpoint to %s (gob)\n", *ckpt)
-	case "ckpt":
-		if *toInt8 {
-			fmt.Printf("quantized %d linears to int8\n", m.Quantize())
-		}
-		if err := m.Params.SaveCKPTFile(*ckpt, "f64"); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("saved checkpoint to %s (ckpt, int8=%v)\n", *ckpt, *toInt8)
-	default:
-		log.Fatalf("unknown -format %q (want gob or ckpt)", *format)
+	if *toInt8 {
+		fmt.Printf("quantized %d linears to int8\n", m.Quantize())
 	}
+	if err := m.Params.SaveCKPTFile(*ckpt, "f64"); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("saved checkpoint to %s (int8=%v)\n", *ckpt, *toInt8)
 }

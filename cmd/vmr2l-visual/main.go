@@ -4,7 +4,7 @@
 //
 //	vmr2l-visual -profile tiny -mnl 8 -solver ha
 //	vmr2l-visual -profile tiny -mnl 8 -solver bnb
-//	vmr2l-visual -profile tiny -mnl 8 -solver agent -ckpt vmr2l.gob
+//	vmr2l-visual -profile tiny -mnl 8 -solver agent -ckpt vmr2l.ckpt
 //
 // Glyphs a-p aggregate allocated CPU per VM type on each NUMA; dots are
 // free cores.

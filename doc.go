@@ -44,43 +44,53 @@
 // The serving hot path is allocation-free in steady state: the cluster
 // keeps incremental fragment/free-resource aggregates (O(1) FragRate),
 // episode resets and forks restore state in place via cluster.CopyFrom,
-// sim.ExtractInto refills flat feature buffers, and policy.Model.Infer
-// runs the forward pass on a tensor.Arena that skips autograd entirely,
-// with sparse tree attention computed block-diagonally per PM tree.
-// Training shares the same cache/register-blocked matmul kernels and
-// recycles minibatch graph storage (tensor.GraphPool). The microbenchmark
-// suite behind BENCH_hotpath.json lives in internal/bench (run
-// "vmr2l-bench -hotpath" or "go test -bench=Hotpath ."); see README.md's
-// Performance section for how to read the artifact.
+// sim.ExtractInto refills flat feature buffers, and inference runs on a
+// tensor.Arena that skips autograd entirely, with sparse tree attention
+// computed block-diagonally per PM tree. Training shares the same
+// cache/register-blocked matmul kernels and recycles minibatch graph storage
+// through a trainer-owned tensor.GraphPool handed to the graph's inputs (no
+// process-wide state). The microbenchmark suite behind BENCH_hotpath.json
+// lives in internal/bench (run "vmr2l-bench -hotpath" or
+// "go test -bench=Hotpath ."); see README.md's Performance section for how
+// to read the artifact.
 //
-// # Batched inference
+// # Inference: one specification, one wave, one front end
 //
-// Every parallel consumer of the policy network routes through one batched
-// forward instead of batch-size-1 calls: sim.FeatureBatch stacks B
-// environments' feature rows into flat (ΣnPM)×F / (ΣnVM)×F buffers,
-// policy.InferBatch / policy.ActBatch (pooled policy.BatchInferCtx, zero
-// steady-state allocations) run every row-wise network stage as one B-row
-// GEMM with attention computed block-diagonally per environment
+// internal/policy carries three forwards and no more. Model.forward is the
+// autograd graph PPO differentiates — the executable specification.
+// Model.ServeWave is the one graph-free implementation derived from it:
+// sim.FeatureBatch stacks B environments' feature rows into flat
+// (ΣnPM)×F / (ΣnVM)×F buffers, every row-wise network stage runs as one
+// GEMM, attention runs block-diagonally per environment
 // (nn.Attention.InferSeg; tree attention concatenates per-env groups into
-// one GroupedAttention pass). Per environment the batched forward is
-// bit-identical to the sequential policy.Model.Infer — each kernel computes
-// every output row independently — which property tests pin across action
-// modes, batch sizes, and ragged batches. Consumers: rl.Config.Envs
-// lock-steps N training environments per wave, rl.EvalFR batches all test
-// mappings, eval.Options.Batched batches the K risk-seeking trajectories,
+// one GroupedAttention pass), and one set of heads and one sampler turn the
+// result into per-row actions, decisions or critic values. B=1 is a wave of
+// one: Model.Infer, Act and Probabilities, like InferBatch, ActBatch and
+// ValuesBatch, are typed wrappers that build a wave on a policy.InferCtx
+// (one arena, one buffer set, one pool; zero steady-state allocations).
+// Each kernel computes every output row independently, so a row has the same
+// bits alone and inside any ragged wave — the property tests compare the
+// wave to the specification and each row to itself across wave
+// compositions, float and int8. The third piece is the step cache
+// (InferCtx.SetIncremental, below), a front end that feeds the same wave.
+// Rollouts have one loop, Model.Rollout, parameterised by who computes the
+// wave: policy.Agent runs ServeWave on a pooled context, serve.Agent hands
+// the rows to the shared scheduler. Consumers: rl.Config.Envs lock-steps N
+// training environments per wave, rl.EvalFR batches all test mappings,
+// eval.Options.Batched batches the K risk-seeking trajectories,
 // mcts.Solver.Prior (any mcts.ValuePrior; mcts.CriticPrior wraps a bare
-// model) scores root candidates with one batched critic pass, and shard
-// solves route a single policy engine through shard.BatchSolver so all
-// shards share each wave's forward. The batching win scales with
-// GOMAXPROCS (stacked GEMMs cross the kernels' parallel threshold);
-// "vmr2l-bench -batch" records the batch-vs-sequential sweep in
-// BENCH_batch.json and "-batch-check" gates it.
+// model) scores root candidates with one critic wave, and shard solves route
+// a single policy engine through shard.BatchSolver so all shards share each
+// wave's forward. The batching win scales with GOMAXPROCS (stacked GEMMs
+// cross the kernels' parallel threshold); "vmr2l-bench -batch" records the
+// one-wave-vs-B=1-waves sweep in BENCH_batch.json and "-batch-check" gates
+// it.
 //
 // # Batched serving
 //
-// internal/serve turns the batched forward into a continuous-batching
-// server: one serve.Scheduler per model owns a pooled BatchInferCtx and a
-// single runner goroutine, and every concurrent consumer — v2 jobs on the
+// internal/serve turns the wave into a continuous-batching server: one
+// serve.Scheduler per model owns a pooled policy.InferCtx and a single
+// runner goroutine, and every concurrent consumer — v2 jobs on the
 // "vmr2l" engine, sharded rollouts, "mcts-prior" critic scoring, rl eval
 // rollouts — submits one row (Submit / SubmitMany, or the typed
 // Infer/Act/BatchValues) and blocks until its wave executes. Rows that
@@ -88,7 +98,7 @@
 // engages exactly when the server is loaded and a lone caller pays no
 // added latency (Options.MaxWait, default 0, can hold a wave open for
 // stragglers; Options.MaxRows, default 128, caps wave size). Results are
-// bit-identical per request to the standalone paths — property-tested
+// bit-identical per request to a wave of one — property-tested
 // under -race across action modes and GOMAXPROCS — and cancelling a
 // queued request drops only that row, never its wavemates.
 // vmr2l-server wires this up behind -ckpt (knobs -wave-rows/-wave-wait;
@@ -99,7 +109,7 @@
 // "-load-check" gates step parity, the multi-core speedup bar, and drift
 // against the pinned reference.
 //
-// # Int8 inference & portable checkpoints
+// # Int8 inference & checkpoints
 //
 // The inference hot path has an int8 twin: policy.Model.Quantize converts
 // the large linears (embeddings, attention projections, FFNs) to
@@ -107,16 +117,16 @@
 // layer forward then dispatches to packed int8 GEMM kernels
 // (tensor.Arena.LinearQ8) that evaluate four weights per 64-bit multiply —
 // exact integer arithmetic, so the quantized forward is deterministic and
-// row-independent, preserving the batched==sequential bit-parity the
-// serving stack relies on. Activations, biases, norms, and the critic head
-// stay float64. Checkpoints are portable and self-describing
-// (nn.Params.SaveCKPT: magic + JSON manifest + raw little-endian tensors;
-// dtypes f64/f32/i8), auto-detected beside the legacy gob format on every
-// -ckpt flag, validated shape-by-shape before any data is read, and
-// fuzz-tested to fail cleanly on corrupt input. "vmr2l-server doctor" is
-// the preflight (checkpoint/shapes/engines/port; non-zero exit on
-// failure), "vmr2l-train -format ckpt -int8" and "vmr2l-eval -export"
-// produce quantized exports, and "vmr2l-bench -quant" records the int8
+// row-independent, preserving the row independence the serving stack relies
+// on. Activations, biases, norms, and the critic head
+// stay float64. Checkpoints have one format, portable and self-describing
+// (nn.Params.SaveCKPT / Load: "VMR2LCK1" magic + JSON manifest + raw
+// little-endian tensors; dtypes f64/f32/i8), validated shape-by-shape before
+// any data is read and fuzz-tested to fail cleanly on corrupt input; a
+// stream without the magic is rejected with an error that says how to
+// convert a legacy file. "vmr2l-server doctor" is the preflight
+// (checkpoint/shapes/engines/port; non-zero exit on failure), "vmr2l-train
+// -int8" and "vmr2l-eval -export" produce quantized exports, and "vmr2l-bench -quant" records the int8
 // kernel speedups (pinned >=1.5x single-core at the wide serving shapes)
 // plus fragmentation-rate parity of the quantized policy across the entire
 // scenario registry (mean gap <= 0.02 over 3 replicas per scenario) in
@@ -125,16 +135,19 @@
 // # Incremental inference
 //
 // Rollout steps change one VM placement, so consecutive policy forwards
-// share almost all of their work. The incremental path makes that sharing
-// explicit and bit-exact: the cluster keeps a dirty journal of touched
+// share almost all of their work. The step cache makes that sharing
+// explicit and bit-exact, as a front end to the wave forward: the cluster keeps a dirty journal of touched
 // PM/VM ids (generation-tokened, full-dirty on bulk restores),
 // sim.Features.UpdateInto re-extracts only dirty machines against cached
 // raw rows — re-verifying the global min-max normalizers by fresh column
 // scan, renormalizing a whole side whenever a bound moved — and
-// policy.InferCtx.SetIncremental(true) caches every activation across
-// Infer calls, patching only dirty rows through row-sliced kernels
+// policy.InferCtx.SetIncremental(true) keeps one environment's embeddings
+// and row-wise activations across Infer calls, patches only dirty rows
+// through row-sliced kernels
 // (tensor.LinearRows/LinearQ8Rows/LayerNormRows/GroupedAttentionRows,
-// group-diffed tree attention via nn.InferTreeRows). Cache keys cover
+// group-diffed tree attention via nn.InferTreeRows), and hands them — with
+// the cached vm_head column — to the wave's block loop, heads and sampler as
+// a one-segment wave. Cache keys cover
 // model identity, parameter version, cluster identity, and journal token;
 // any mismatch or moved normalizer falls back to a full recompute into the
 // same caches. Every forward is counted as a hit, miss, or fallback

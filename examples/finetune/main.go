@@ -52,7 +52,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var ckpt bytes.Buffer
-	if err := pre.Params.Save(&ckpt); err != nil {
+	if err := pre.Params.SaveCKPT(&ckpt, "f64"); err != nil {
 		log.Fatal(err)
 	}
 

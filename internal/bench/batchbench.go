@@ -12,10 +12,12 @@ import (
 	"vmr2l/internal/policy"
 )
 
-// The batch sweep compares rollout collection through the per-step path (one
-// Model.Infer per environment per wave) against the batched engine (one
-// Model.InferBatch for the whole wave) across batch sizes, writing
-// BENCH_batch.json. Run via
+// The batch sweep compares rollout collection one environment at a time (one
+// Model.Infer — a wave of one — per environment per step) against one wave
+// for all of them (one Model.InferBatch per step) across batch sizes, writing
+// BENCH_batch.json. Both sides run the same wave forward, so the "seq"
+// column is B=1 waves, not a separate implementation: the sweep prices what
+// stacking rows into one wave buys. Run via
 //
 //	vmr2l-bench -batch          # sweep -> BENCH_batch.json
 //	vmr2l-bench -batch -batch-check
@@ -31,7 +33,7 @@ type BatchResult struct {
 	Envs           int     `json:"envs"`
 	SeqNsPerStep   float64 `json:"seq_ns_per_step"`
 	BatchNsPerStep float64 `json:"batch_ns_per_step"`
-	// Speedup is steps/sec of the batched path over the per-step path.
+	// Speedup is steps/sec of one wave per step over B=1 waves per env.
 	Speedup float64 `json:"speedup"`
 	// BatchAllocsPerWave must stay 0: the batched wave is allocation-free in
 	// steady state.
@@ -204,7 +206,7 @@ func LoadBatchArtifact(path string) (BatchReport, error) {
 
 // Fprint renders the sweep as an aligned table.
 func (r BatchReport) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "batch-vs-sequential rollout sweep (%s, GOMAXPROCS=%d)\n", r.GoVersion, r.GoMaxProcs)
+	fmt.Fprintf(w, "batch-vs-sequential rollout sweep (%s, GOMAXPROCS=%d); seq = one B=1 wave per env per step\n", r.GoVersion, r.GoMaxProcs)
 	fmt.Fprintf(w, "%-6s %16s %16s %9s %12s\n", "envs", "seq ns/step", "batch ns/step", "speedup", "allocs/wave")
 	for _, res := range r.Results {
 		fmt.Fprintf(w, "%-6d %16.1f %16.1f %8.2fx %12d\n",

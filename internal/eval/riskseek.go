@@ -27,7 +27,7 @@ type Options struct {
 	// Parallel runs rollouts on goroutines (the paper's multi-GPU analog).
 	Parallel bool
 	// Batched rolls all K trajectories in lock-step on one goroutine with a
-	// single batched forward per wave (policy.RolloutBatch): the K
+	// single batched forward per wave (policy.Model.Rollout): the K
 	// environments' rows stack into one GEMM chain, whose kernels themselves
 	// parallelize across GOMAXPROCS for large batches. Trajectory-for-
 	// trajectory identical to the sequential path (same per-trajectory rng
@@ -95,9 +95,9 @@ func RunContext(ctx context.Context, m *policy.Model, init *cluster.Cluster, cfg
 				PMQuantile: opts.PMQuantile,
 			}
 		}
-		bc := policy.AcquireBatchCtx()
-		_ = m.RolloutBatch(ctx, bc, envs, rngs, sampleOpts, false)
-		bc.Release()
+		ic := policy.AcquireCtx()
+		_ = m.Rollout(ctx, m.WaveOn(ic), envs, rngs, sampleOpts, false)
+		ic.Release()
 		for i, env := range envs {
 			results[i] = result{value: env.Value(), plan: append([]sim.Migration(nil), env.Plan()...)}
 		}

@@ -67,9 +67,9 @@ type CriticPrior struct {
 
 // BatchValues implements ValuePrior via policy.Model.ValuesBatch.
 func (c CriticPrior) BatchValues(_ context.Context, states []*cluster.Cluster, dst []float64) ([]float64, error) {
-	bc := policy.AcquireBatchCtx()
-	defer bc.Release()
-	return c.M.ValuesBatch(bc, states, dst), nil
+	ic := policy.AcquireCtx()
+	defer ic.Release()
+	return c.M.ValuesBatch(ic, states, dst), nil
 }
 
 // Meta implements solver.Solver.

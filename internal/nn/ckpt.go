@@ -3,19 +3,17 @@ package nn
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strings"
 
 	"vmr2l/internal/tensor"
 )
 
-// Portable self-describing checkpoint format ("ckpt"), safetensors-style:
+// The checkpoint format ("ckpt"), self-describing and safetensors-style:
 //
 //	[8]  magic "VMR2LCK1"
 //	[4]  manifest length, uint32 little-endian
@@ -28,8 +26,8 @@ import (
 // any language with a JSON parser. Float tensors store f64 (bit-exact round
 // trip) or f32 (half the size, lossy); quantized linear weights store i8
 // values plus their per-output-channel f64 scales, so a quantized model
-// serves identically after export and reload. The legacy gob format remains
-// readable: Params.Load sniffs the magic and dispatches.
+// serves identically after export and reload. It is the only format: a
+// stream without the magic is rejected (see errNotCKPT).
 const ckptMagic = "VMR2LCK1"
 
 const (
@@ -58,8 +56,8 @@ type CKPTTensor struct {
 
 // CKPTManifest is the JSON header of a portable checkpoint.
 type CKPTManifest struct {
-	Version int    `json:"version"`
-	DType   string `json:"dtype"` // storage dtype of non-quantized tensors
+	Version int          `json:"version"`
+	DType   string       `json:"dtype"` // storage dtype of non-quantized tensors
 	Tensors []CKPTTensor `json:"tensors"`
 }
 
@@ -175,40 +173,27 @@ type ckptStaged struct {
 	qw   *tensor.QuantizedWeight // i8 tensors
 }
 
-// LoadCKPT restores parameters from a portable checkpoint stream. The
-// manifest is validated against the registered parameters — every tensor
-// must be present with a matching shape, unknown names are rejected — before
-// any data is read, and data sizes come from the registered shapes, so a
-// hostile manifest cannot drive allocation. i8 tensors restore the owning
-// linear's quantized weight (serving dispatches to the int8 kernel) and set
-// its float W to the dequantized values; float tensors clear any stale
-// quantized form.
-func (p *Params) LoadCKPT(r io.Reader) error {
-	return p.loadCKPT(bufio.NewReader(r))
+// errNotCKPT rejects a stream that does not start with the magic. Checkpoints
+// written by the gob encoding this format replaced are the one legitimate
+// source of such streams, so the error says how to convert them.
+func errNotCKPT(got []byte) error {
+	return fmt.Errorf("nn: not a %s checkpoint (starts with %q); a legacy gob checkpoint must be converted once with `vmr2l-eval -ckpt old.gob -export new.ckpt` built from the last commit that read gob", ckptMagic, got)
 }
 
-func (p *Params) loadCKPT(r io.Reader) error {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("nn: read checkpoint header: %w", err)
-	}
-	if string(hdr[:8]) != ckptMagic {
-		return fmt.Errorf("nn: bad checkpoint magic %q", hdr[:8])
-	}
-	mlen := binary.LittleEndian.Uint32(hdr[8:12])
-	if mlen == 0 || mlen > ckptMaxManifest {
-		return fmt.Errorf("nn: checkpoint manifest length %d out of range", mlen)
-	}
-	mj := make([]byte, mlen)
-	if _, err := io.ReadFull(r, mj); err != nil {
-		return fmt.Errorf("nn: read checkpoint manifest: %w", err)
-	}
-	var man CKPTManifest
-	if err := json.Unmarshal(mj, &man); err != nil {
-		return fmt.Errorf("nn: decode checkpoint manifest: %w", err)
-	}
-	if man.Version != ckptVersion {
-		return fmt.Errorf("nn: unsupported checkpoint version %d", man.Version)
+// Load restores parameters from a checkpoint stream. The manifest is
+// validated against the registered parameters — every tensor must be present
+// with a matching shape, unknown names are rejected — before any data is
+// read, and data sizes come from the registered shapes, so a hostile
+// manifest cannot drive allocation. i8 tensors restore the owning linear's
+// quantized weight (serving dispatches to the int8 kernel) and set its float
+// W to the dequantized values; float tensors clear any stale quantized form.
+// A corrupt or truncated stream returns an error, never panics, and a
+// validation failure leaves the parameters untouched.
+func (p *Params) Load(r io.Reader) error {
+	r = bufio.NewReader(r)
+	man, err := ReadCKPTManifest(r)
+	if err != nil {
+		return err
 	}
 
 	// Validate the whole manifest against the registered parameters before
@@ -352,7 +337,7 @@ func ReadCKPTManifest(r io.Reader) (*CKPTManifest, error) {
 		return nil, fmt.Errorf("nn: read checkpoint header: %w", err)
 	}
 	if string(hdr[:8]) != ckptMagic {
-		return nil, fmt.Errorf("nn: bad checkpoint magic %q", hdr[:8])
+		return nil, errNotCKPT(hdr[:8])
 	}
 	mlen := binary.LittleEndian.Uint32(hdr[8:12])
 	if mlen == 0 || mlen > ckptMaxManifest {
@@ -372,47 +357,23 @@ func ReadCKPTManifest(r io.Reader) (*CKPTManifest, error) {
 	return &man, nil
 }
 
-// CKPTInfo summarizes a checkpoint file for inspection (vmr2l-server
-// doctor): which format it is and what tensors it carries.
-type CKPTInfo struct {
-	Format   string // "ckpt" or "gob"
-	Manifest *CKPTManifest
+// LoadFile restores a checkpoint from path.
+func (p *Params) LoadFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return p.Load(f)
 }
 
-// InspectFile reads a checkpoint file's self-description without a model.
-// Portable checkpoints report their manifest verbatim; legacy gob files get
-// a synthesized manifest (all tensors f64, offsets zero — gob does not
-// record a data layout).
-func InspectFile(path string) (*CKPTInfo, error) {
+// InspectFile reads a checkpoint file's manifest without a model
+// (vmr2l-server doctor).
+func InspectFile(path string) (*CKPTManifest, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	if magic, err := br.Peek(len(ckptMagic)); err == nil && string(magic) == ckptMagic {
-		man, err := ReadCKPTManifest(br)
-		if err != nil {
-			return nil, err
-		}
-		return &CKPTInfo{Format: "ckpt", Manifest: man}, nil
-	}
-	var ck checkpoint
-	if err := gob.NewDecoder(br).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("nn: %s is neither a ckpt nor a gob checkpoint: %w", path, err)
-	}
-	man := &CKPTManifest{Version: ck.Version, DType: "f64"}
-	names := make([]string, 0, len(ck.Data))
-	for name := range ck.Data {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		man.Tensors = append(man.Tensors, CKPTTensor{
-			Name: name, DType: "f64",
-			Shape: []int{ck.Rows[name], ck.Cols[name]},
-			Bytes: int64(len(ck.Data[name])) * 8,
-		})
-	}
-	return &CKPTInfo{Format: "gob", Manifest: man}, nil
+	return ReadCKPTManifest(bufio.NewReader(f))
 }

@@ -142,19 +142,6 @@ func TestCKPTFloatLoadClearsStaleQuant(t *testing.T) {
 	if n := len(p2.QuantizedLinears()); n != 0 {
 		t.Fatalf("%d stale quantized layers survived a float load", n)
 	}
-	// Same contract on the gob path.
-	p3 := buildCKPTTestParams(98)
-	var gbuf bytes.Buffer
-	if err := p1.Save(&gbuf); err != nil {
-		t.Fatal(err)
-	}
-	p3.QuantizeLinears(nil)
-	if err := p3.Load(bytes.NewReader(gbuf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(p3.QuantizedLinears()); n != 0 {
-		t.Fatalf("%d stale quantized layers survived a gob load", n)
-	}
 }
 
 func TestCKPTRejectsShapeMismatch(t *testing.T) {
@@ -224,54 +211,45 @@ func TestCKPTRejectsOutOfRangeInt8(t *testing.T) {
 }
 
 // TestCKPTTruncatedNeverPanics cuts a valid checkpoint at every 7th byte and
-// checks Load returns an error instead of panicking, for both formats.
+// checks Load returns an error instead of panicking.
 func TestCKPTTruncatedNeverPanics(t *testing.T) {
 	p1 := buildCKPTTestParams(7)
 	p1.QuantizeLinears(nil)
-	var ckpt, gob bytes.Buffer
+	var ckpt bytes.Buffer
 	if err := p1.SaveCKPT(&ckpt, "f64"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p1.Save(&gob); err != nil {
-		t.Fatal(err)
-	}
-	for _, raw := range [][]byte{ckpt.Bytes(), gob.Bytes()} {
-		for cut := 0; cut < len(raw); cut += 7 {
-			p2 := buildCKPTTestParams(99)
-			if err := p2.Load(bytes.NewReader(raw[:cut])); err == nil {
-				t.Fatalf("truncation at %d/%d accepted", cut, len(raw))
-			}
+	raw := ckpt.Bytes()
+	for cut := 0; cut < len(raw); cut += 7 {
+		p2 := buildCKPTTestParams(99)
+		if err := p2.Load(bytes.NewReader(raw[:cut])); err == nil {
+			t.Fatalf("truncation at %d/%d accepted", cut, len(raw))
 		}
 	}
 }
 
-func TestCKPTAutoDetectAndCrossFormat(t *testing.T) {
-	p1 := buildCKPTTestParams(8)
-	var gbuf bytes.Buffer
-	if err := p1.Save(&gbuf); err != nil {
-		t.Fatal(err)
+// legacyGobPrefix is how a checkpoint of the removed gob encoding starts (a
+// gob type definition for the old checkpoint struct).
+var legacyGobPrefix = []byte("\x43\xff\x81\x03\x01\x01\x0acheckpoint\x01\xff\x82\x00\x01\x04\x01\x07Version\x01\x04\x00")
+
+// TestCKPTRejectsLegacyStream pins the one-format contract: a stream without
+// the magic is rejected with an error that says how to convert it, and the
+// parameters are left untouched.
+func TestCKPTRejectsLegacyStream(t *testing.T) {
+	p := buildCKPTTestParams(8)
+	before := append([]float64(nil), p.Get("head.w").Data...)
+	version := p.Version()
+	err := p.Load(bytes.NewReader(legacyGobPrefix))
+	if err == nil || !strings.Contains(err.Error(), "vmr2l-eval") || !strings.Contains(err.Error(), ckptMagic) {
+		t.Fatalf("legacy stream: want a conversion hint naming the format, got %v", err)
 	}
-	// Legacy gob loads through the same Load, then re-exports as ckpt
-	// bit-identically.
-	p2 := buildCKPTTestParams(99)
-	if err := p2.Load(bytes.NewReader(gbuf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	var cbuf bytes.Buffer
-	if err := p2.SaveCKPT(&cbuf, "f64"); err != nil {
-		t.Fatal(err)
-	}
-	p3 := buildCKPTTestParams(98)
-	if err := p3.Load(bytes.NewReader(cbuf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range p1.Names() {
-		a, b := p1.Get(name), p3.Get(name)
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				t.Fatalf("%s differs after gob→ckpt re-export", name)
-			}
+	for i, v := range p.Get("head.w").Data {
+		if v != before[i] {
+			t.Fatal("rejected stream modified parameters")
 		}
+	}
+	if p.Version() != version {
+		t.Fatal("rejected stream bumped the params version")
 	}
 }
 
@@ -280,35 +258,24 @@ func TestCKPTInspectFile(t *testing.T) {
 	p.QuantizeLinears(nil)
 	dir := t.TempDir()
 	ckptPath := dir + "/model.ckpt"
-	gobPath := dir + "/model.gob"
 	if err := p.SaveCKPTFile(ckptPath, "f64"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
-	info, err := InspectFile(ckptPath)
+	man, err := InspectFile(ckptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Format != "ckpt" || len(info.Manifest.Tensors) != len(p.Names()) {
-		t.Fatalf("ckpt inspect: format %q, %d tensors (want %d)", info.Format, len(info.Manifest.Tensors), len(p.Names()))
+	if len(man.Tensors) != len(p.Names()) {
+		t.Fatalf("ckpt inspect: %d tensors (want %d)", len(man.Tensors), len(p.Names()))
 	}
 	i8 := 0
-	for _, e := range info.Manifest.Tensors {
+	for _, e := range man.Tensors {
 		if e.DType == "i8" {
 			i8++
 		}
 	}
 	if i8 != len(p.QuantizedLinears()) {
 		t.Fatalf("inspect reports %d i8 tensors, want %d", i8, len(p.QuantizedLinears()))
-	}
-	ginfo, err := InspectFile(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ginfo.Format != "gob" || len(ginfo.Manifest.Tensors) != len(p.Names()) {
-		t.Fatalf("gob inspect: format %q, %d tensors", ginfo.Format, len(ginfo.Manifest.Tensors))
 	}
 	if _, err := InspectFile(dir + "/missing"); err == nil {
 		t.Fatal("missing file accepted")
@@ -322,23 +289,20 @@ func TestCKPTInspectFile(t *testing.T) {
 	}
 }
 
-// FuzzParamsLoad feeds arbitrary bytes to the auto-detecting loader: it must
-// return an error or succeed, never panic, on both formats and any
+// FuzzParamsLoad feeds arbitrary bytes to the loader: it must return an error
+// or succeed, never panic, on a valid checkpoint, a legacy stream, and any
 // corruption of them.
 func FuzzParamsLoad(f *testing.F) {
 	p := NewParams()
 	rng := rand.New(rand.NewSource(10))
 	NewLinear(p, "l", rng, 8, 8)
 	p.QuantizeLinears(nil)
-	var ckpt, gobBuf bytes.Buffer
+	var ckpt bytes.Buffer
 	if err := p.SaveCKPT(&ckpt, "f64"); err != nil {
 		f.Fatal(err)
 	}
-	if err := p.Save(&gobBuf); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(ckpt.Bytes())
-	f.Add(gobBuf.Bytes())
+	f.Add(legacyGobPrefix)
 	f.Add(ckpt.Bytes()[:len(ckpt.Bytes())/2])
 	f.Add([]byte(ckptMagic))
 	f.Add([]byte{})

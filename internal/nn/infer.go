@@ -96,18 +96,19 @@ func (a *Attention) InferTree(ar *tensor.Arena, x *tensor.Tensor, groups [][]int
 	return a.Wo.Infer(ar, concat)
 }
 
-// InferSeg is the batched, segment-diagonal Infer: q (Σm_b×d) and kv
-// (Σn_b×d) stack B independent segments back to back, with qOff/kvOff the
-// B+1 row offsets. Rows of segment b attend only over kv rows of segment b —
-// the block-diagonal structure of batching independent environments into one
-// forward pass. The Q/K/V projections and the output layer each run as one
-// stacked GEMM over all segments (the batching win); the score/softmax/value
-// stage runs per segment on zero-copy row views through the same kernels the
-// single-segment Infer uses, writing each segment's product directly into
-// its slot of the stacked head tensor. Per segment the result is
-// bit-identical to Infer on that segment alone, because every kernel here
-// computes each output row independently of how many other rows share the
-// call. No mask is supported (the policy's self/cross attention never masks).
+// InferSeg is the arena-allocated, graph-free Forward over segments: q
+// (Σm_b×d) and kv (Σn_b×d) stack B independent segments back to back, with
+// qOff/kvOff the B+1 row offsets. Rows of segment b attend only over kv rows
+// of segment b — the block-diagonal structure of batching independent
+// environments into one forward pass; one segment is plain dense attention.
+// The Q/K/V projections and the output layer each run as one stacked GEMM
+// over all segments (the batching win); the score/softmax/value stage runs
+// per segment on zero-copy row views, writing each segment's product
+// directly into its slot of the stacked head tensor. Per segment the result
+// is bit-identical whether the segment is alone or shares the call, because
+// every kernel here computes each output row independently of how many other
+// rows share the call. No mask is supported (the policy's self/cross
+// attention never masks).
 //
 // probs is an optional reusable slice for the per-segment mean attention
 // probabilities; the (possibly grown) slice is returned alongside the
@@ -150,35 +151,4 @@ func (a *Attention) InferSeg(ar *tensor.Arena, q, kv *tensor.Tensor, qOff, kvOff
 		}
 	}
 	return a.Wo.Infer(ar, concat), probs
-}
-
-// Infer attends q over kv like Forward, arena-allocated and graph-free. It
-// returns the output (m×d) and the mean attention probabilities across heads
-// (m×n).
-func (a *Attention) Infer(ar *tensor.Arena, q, kv *tensor.Tensor, mask []bool) (*tensor.Tensor, *tensor.Tensor) {
-	var concat *tensor.Tensor
-	var probsMean *tensor.Tensor
-	qq8, qkv8 := a.quantInputs(ar, q, kv)
-	scale := 1 / math.Sqrt(float64(a.headDim))
-	for h := range a.Wq {
-		qq := a.Wq[h].inferPre(ar, q, qq8)
-		kk := a.Wk[h].inferPre(ar, kv, qkv8)
-		vv := a.Wv[h].inferPre(ar, kv, qkv8)
-		scores := ar.Scale(ar.MatMulT(qq, kk), scale)
-		if mask != nil {
-			scores = ar.MaskedFill(scores, mask, -1e9)
-		}
-		probs := ar.Softmax(scores)
-		head := ar.MatMul(probs, vv)
-		if concat == nil {
-			concat, probsMean = head, probs
-		} else {
-			concat = ar.ConcatCols(concat, head)
-			probsMean = ar.Add(probsMean, probs)
-		}
-	}
-	if len(a.Wq) > 1 {
-		probsMean = ar.Scale(probsMean, 1/float64(len(a.Wq)))
-	}
-	return a.Wo.Infer(ar, concat), probsMean
 }

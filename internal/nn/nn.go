@@ -4,11 +4,9 @@
 // It is the thin "framework" layer over package tensor that replaces
 // PyTorch's nn module (see DESIGN.md).
 //
-// Checkpoints come in two formats, auto-detected by Params.Load: the legacy
-// gob encoding (Params.Save) and the portable self-describing "ckpt" format
-// (Params.SaveCKPT / ckpt.go) — magic header, JSON manifest of tensor
-// names/dtypes/shapes/offsets, then tightly-packed little-endian data.
-// The ckpt format round-trips float64 parameters bit-identically, carries
+// Checkpoints have one format (Params.SaveCKPT / Params.Load, ckpt.go):
+// magic header, JSON manifest of tensor names/dtypes/shapes/offsets, then
+// tightly-packed little-endian data. It round-trips float64 parameters bit-identically, carries
 // int8-quantized linears (per-output-channel weights + scales, dtype "i8")
 // so a quantized export serves on the int8 kernel path after load, and
 // validates every manifest entry against the registered parameter shapes

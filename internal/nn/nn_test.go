@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,61 +170,12 @@ func TestAttentionGradFlows(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	build := func() (*Params, *MLP) {
-		p := NewParams()
-		return p, NewMLP(p, "mlp", rng, 3, 8, 2)
-	}
-	p1, m1 := build()
-	var buf bytes.Buffer
-	if err := p1.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p2, m2 := build()
-	if err := p2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Randn(rng, 4, 3, 1)
-	o1 := m1.Forward(x)
-	o2 := m2.Forward(x)
-	for i := range o1.Data {
-		if o1.Data[i] != o2.Data[i] {
-			t.Fatal("outputs differ after checkpoint round trip")
-		}
-	}
-}
-
-func TestCheckpointShapeMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p1 := NewParams()
-	NewLinear(p1, "l", rng, 2, 2)
-	var buf bytes.Buffer
-	if err := p1.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p2 := NewParams()
-	NewLinear(p2, "l", rng, 3, 2)
-	if err := p2.Load(&buf); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-	p3 := NewParams()
-	NewLinear(p3, "other", rng, 2, 2)
-	buf2 := bytes.Buffer{}
-	if err := p1.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if err := p3.Load(&buf2); err == nil {
-		t.Fatal("missing parameter accepted")
-	}
-}
-
 func TestCheckpointFileHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	p := NewParams()
 	NewLinear(p, "l", rng, 2, 2)
-	path := t.TempDir() + "/ck.gob"
-	if err := p.SaveFile(path); err != nil {
+	path := t.TempDir() + "/ck.ckpt"
+	if err := p.SaveCKPTFile(path, "f64"); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.LoadFile(path); err != nil {

@@ -61,13 +61,13 @@ func sampleRow(probs []float64, rng *rand.Rand, greedy bool) int {
 	return len(probs) - 1
 }
 
-// Act selects an action for the environment's current state. It returns the
-// decision record used by PPO (state snapshot, log-prob, value). The forward
-// pass runs on the inference fast path (no autograd graph); Evaluate later
-// rebuilds the graph from the stored state when PPO needs gradients.
+// Act selects an action for the environment's current state and returns the
+// decision record used by PPO (state snapshot, log-prob, value): a wave of
+// one WaveAct row on a pooled context. The forward runs graph-free; Evaluate
+// later rebuilds the graph from the stored state when PPO needs gradients.
 func (m *Model) Act(env *sim.Env, rng *rand.Rand, opts SampleOpts) (*Decision, error) {
-	ic := inferPool.Get().(*InferCtx)
-	defer inferPool.Put(ic)
+	ic := AcquireCtx()
+	defer ic.Release()
 	return m.ActCtx(ic, env, rng, opts)
 }
 
@@ -75,70 +75,8 @@ func (m *Model) Act(env *sim.Env, rng *rand.Rand, opts SampleOpts) (*Decision, e
 // one context across a whole episode instead of a pool round-trip per
 // decision.
 func (m *Model) ActCtx(ic *InferCtx, env *sim.Env, rng *rand.Rand, opts SampleOpts) (*Decision, error) {
-	ic.arena.Reset()
-	feat := sim.Extract(env.Cluster())
-	out := m.forwardInfer(ic, feat)
-	st := &State{Feat: feat}
-	dec := &Decision{State: st, Value: m.valueInfer(ic, out)}
-
-	switch m.Cfg.Action {
-	case FullMask:
-		mTotal := len(feat.VM)
-		nTotal := len(feat.PM)
-		st.JointMask = make([]bool, mTotal*nTotal)
-		vmMask := env.VMMask()
-		for vm := 0; vm < mTotal; vm++ {
-			if !vmMask[vm] {
-				continue
-			}
-			pmMask := env.PMMask(vm)
-			for pm := 0; pm < nTotal; pm++ {
-				st.JointMask[vm*nTotal+pm] = pmMask[pm]
-			}
-		}
-		probs := ic.arena.Softmax(m.jointLogitsInfer(ic, out, st.JointMask)).Data
-		idx := sampleRow(probs, rng, opts.Greedy)
-		st.VM, st.PM = idx/nTotal, idx%nTotal
-		dec.LogProb = logProbOf(probs[idx])
-		return dec, nil
-
-	case Penalty:
-		// Unmasked two-stage sampling; illegal choices are possible and
-		// penalized by the caller via PenaltyStep.
-		vmProbs := ic.arena.Softmax(m.vmLogitsInfer(ic, out, nil)).Data
-		st.VM = sampleRow(vmProbs, rng, opts.Greedy)
-		pmProbs := ic.arena.Softmax(m.pmLogitsInfer(ic, out, st.VM, nil)).Data
-		st.PM = sampleRow(pmProbs, rng, opts.Greedy)
-		dec.LogProb = logProbOf(vmProbs[st.VM]) + logProbOf(pmProbs[st.PM])
-		return dec, nil
-
-	default: // TwoStage
-		st.VMMask = env.VMMask()
-		if !anyTrue(st.VMMask) {
-			return nil, ErrNoMigratableVM
-		}
-		vmProbs := append([]float64(nil), ic.arena.Softmax(m.vmLogitsInfer(ic, out, st.VMMask)).Data...)
-		if opts.VMQuantile > 0 {
-			ic.applyThreshold(vmProbs, st.VMMask, opts.VMQuantile)
-		}
-		st.VM = sampleLegal(vmProbs, st.VMMask, rng, opts.Greedy)
-
-		pmMask := env.PMMask(st.VM)
-		st.PMMask = pmMask
-		pmProbs := append([]float64(nil), ic.arena.Softmax(m.pmLogitsInfer(ic, out, st.VM, pmMask)).Data...)
-		if opts.PMQuantile > 0 {
-			ic.applyThreshold(pmProbs, pmMask, opts.PMQuantile)
-		}
-		st.PM = sampleLegal(pmProbs, pmMask, rng, opts.Greedy)
-		dec.LogProb = logProbOf(vmProbs[st.VM]) + logProbOf(pmProbs[st.PM])
-
-		if m.Cfg.PMSubset > 0 {
-			// Decima-style: resample the PM from a random legal subset,
-			// overriding the learned stage-2 choice.
-			st.PM = subsetPM(pmMask, m.Cfg.PMSubset, pmProbs, rng)
-		}
-		return dec, nil
-	}
+	ic.waveRes = m.ServeWave(ic, ic.one(WaveReq{Kind: WaveAct, Env: env, Rng: rng, Opts: opts}), ic.waveRes)
+	return ic.waveRes[0].Dec, ic.waveRes[0].Err
 }
 
 // sampleLegal samples from probs but never returns an illegal index: if the
@@ -215,9 +153,11 @@ type Evaluation struct {
 }
 
 // Evaluate recomputes log π(a|s), V(s) and the policy entropy for a stored
-// state, building the autodiff graph for the PPO update.
-func (m *Model) Evaluate(st *State) *Evaluation {
-	out := m.forward(st.Feat)
+// state, building the autodiff graph for the PPO update. The graph's storage
+// belongs to pool — a trainer recycles it per minibatch — or to the heap when
+// pool is nil.
+func (m *Model) Evaluate(pool *tensor.GraphPool, st *State) *Evaluation {
+	out := m.forward(pool, st.Feat)
 	ev := &Evaluation{Value: m.value(out)}
 	switch m.Cfg.Action {
 	case FullMask:
@@ -249,22 +189,25 @@ func entropyOf(logp *tensor.Tensor) *tensor.Tensor {
 }
 
 // Probabilities returns the stage-1 VM distribution and, for its argmax VM,
-// the stage-2 PM distribution — the data behind paper Fig. 11. Runs on the
-// inference fast path; the returned slices are fresh copies.
+// the stage-2 PM distribution — the data behind paper Fig. 11. A wave of one
+// through the wave forward and heads, stopping short of the sampler; the
+// returned slices are fresh copies.
 func (m *Model) Probabilities(env *sim.Env) (vmProbs, pmProbs []float64) {
-	ic := inferPool.Get().(*InferCtx)
-	defer inferPool.Put(ic)
-	ic.arena.Reset()
-	feat := sim.Extract(env.Cluster())
-	out := m.forwardInfer(ic, feat)
-	vmMask := env.VMMask()
-	vmProbs = append([]float64(nil), ic.arena.Softmax(m.vmLogitsInfer(ic, out, vmMask)).Data...)
+	ic := AcquireCtx()
+	defer ic.Release()
+	ar := &ic.arena
+	ar.Reset()
+	ic.extractWave(ic.one(WaveReq{Env: env}))
+	out := m.forwardWave(ic)
+	vmRow := logitsRow(ar, m.vmLogitsCol(ic, out), 0, ic.vmOff[1], env.VMMask())
+	vmProbs = append([]float64(nil), ar.Softmax(vmRow).Data...)
 	best := 0
 	for i, p := range vmProbs {
 		if p > vmProbs[best] {
 			best = i
 		}
 	}
-	pmProbs = append([]float64(nil), ic.arena.Softmax(m.pmLogitsInfer(ic, out, best, env.PMMask(best))).Data...)
+	pmRow := logitsRow(ar, m.pmLogitsCol(ic, out, []int{best}), 0, ic.pmOff[1], env.PMMask(best))
+	pmProbs = append([]float64(nil), ar.Softmax(pmRow).Data...)
 	return vmProbs, pmProbs
 }

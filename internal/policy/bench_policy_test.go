@@ -37,7 +37,7 @@ func BenchmarkEvaluateTrainingStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Params.ZeroGrad()
-		ev := m.Evaluate(dec.State)
+		ev := m.Evaluate(nil, dec.State)
 		ev.LogProb.Backward()
 	}
 }

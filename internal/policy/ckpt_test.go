@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vmr2l/internal/sim"
-	"vmr2l/internal/tensor"
 )
 
 // greedyTrace runs an 8-step greedy episode and returns the action sequence,
@@ -30,19 +29,13 @@ func greedyTrace(t *testing.T, m *Model, envSeed int64) []int {
 	return trace
 }
 
-// forwardFingerprint runs the inference forward pass on a fixed env and
-// returns the embedding tensors for bit-level comparison.
-func forwardFingerprint(t *testing.T, m *Model, envSeed int64) (pmE, vmE *tensor.Tensor) {
+// forwardFingerprint runs the wave forward and every head on a fixed env for
+// bit-level comparison.
+func forwardFingerprint(t *testing.T, m *Model, envSeed int64) segOut {
 	t.Helper()
-	env := batchTestEnv(t, envSeed, 4, 16, 8)
+	envs := []*sim.Env{batchTestEnv(t, envSeed, 4, 16, 8)}
 	ic := NewInferCtx()
-	ic.arena.Reset()
-	seq := m.forwardInfer(ic, sim.Extract(env.Cluster()))
-	pmE = tensor.New(seq.pmE.Rows, seq.pmE.Cols)
-	copy(pmE.Data, seq.pmE.Data)
-	vmE = tensor.New(seq.vmE.Rows, seq.vmE.Cols)
-	copy(vmE.Data, seq.vmE.Data)
-	return pmE, vmE
+	return waveSegs(m, ic, waveForward(m, ic, envs), envs)[0]
 }
 
 // TestCKPTQuantizedExportServesIdentically pins the int8 checkpoint
@@ -68,10 +61,7 @@ func TestCKPTQuantizedExportServesIdentically(t *testing.T) {
 	if !m2.Quantized() {
 		t.Fatal("loaded model is not quantized")
 	}
-	p1, v1 := forwardFingerprint(t, m1, 500)
-	p2, v2 := forwardFingerprint(t, m2, 500)
-	bitEqual(t, "ckpt pmE", p1, p2)
-	bitEqual(t, "ckpt vmE", v1, v2)
+	compareSegs(t, "quantized export", forwardFingerprint(t, m1, 500), forwardFingerprint(t, m2, 500), 0)
 	tr1 := greedyTrace(t, m1, 501)
 	tr2 := greedyTrace(t, m2, 501)
 	for i := range tr1 {
@@ -81,41 +71,31 @@ func TestCKPTQuantizedExportServesIdentically(t *testing.T) {
 	}
 }
 
-// TestCKPTGobReexportSolvesIdentically pins the migration path: a legacy gob
-// checkpoint loaded and re-exported in the portable format reproduces the
-// original model bit for bit.
-func TestCKPTGobReexportSolvesIdentically(t *testing.T) {
+// TestCKPTFloatReexportSolvesIdentically pins what `vmr2l-eval -export` does
+// to a float model: load, re-export, load again reproduces the original model
+// bit for bit.
+func TestCKPTFloatReexportSolvesIdentically(t *testing.T) {
 	cfg := DefaultConfig()
 	m1 := New(cfg)
-	var gbuf bytes.Buffer
-	if err := m1.Params.Save(&gbuf); err != nil {
-		t.Fatal(err)
+	m3 := m1
+	for hop := int64(1); hop <= 2; hop++ {
+		var buf bytes.Buffer
+		if err := m3.Params.SaveCKPT(&buf, "f64"); err != nil {
+			t.Fatal(err)
+		}
+		cfgN := cfg
+		cfgN.Seed = cfg.Seed + 77 + hop // different init: everything must come from the checkpoint
+		m3 = New(cfgN)
+		if err := m3.Params.Load(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cfg2 := cfg
-	cfg2.Seed = cfg.Seed + 78
-	m2 := New(cfg2)
-	if err := m2.Params.Load(bytes.NewReader(gbuf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	var cbuf bytes.Buffer
-	if err := m2.Params.SaveCKPT(&cbuf, "f64"); err != nil {
-		t.Fatal(err)
-	}
-	cfg3 := cfg
-	cfg3.Seed = cfg.Seed + 79
-	m3 := New(cfg3)
-	if err := m3.Params.Load(bytes.NewReader(cbuf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	p1, v1 := forwardFingerprint(t, m1, 600)
-	p3, v3 := forwardFingerprint(t, m3, 600)
-	bitEqual(t, "reexport pmE", p1, p3)
-	bitEqual(t, "reexport vmE", v1, v3)
+	compareSegs(t, "re-export", forwardFingerprint(t, m1, 600), forwardFingerprint(t, m3, 600), 0)
 	tr1 := greedyTrace(t, m1, 601)
 	tr3 := greedyTrace(t, m3, 601)
 	for i := range tr1 {
 		if tr1[i] != tr3[i] {
-			t.Fatalf("greedy action %d differs after gob→ckpt re-export: %d vs %d", i, tr1[i], tr3[i])
+			t.Fatalf("greedy action %d differs after re-export: %d vs %d", i, tr1[i], tr3[i])
 		}
 	}
 }

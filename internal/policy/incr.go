@@ -7,11 +7,14 @@ import (
 	"vmr2l/internal/tensor"
 )
 
-// Incremental inference. A rollout step migrates one VM, which dirties a
-// handful of feature rows (source PM, destination PM, the VMs they host);
-// everything else the previous forward computed is still valid. The step
-// cache keeps last step's activations and recomputes only what the dirt
-// reaches, with exact bit-parity to a full forward:
+// The step cache: the incremental front end of the wave forward. A rollout
+// step migrates one VM, which dirties a handful of feature rows (source PM,
+// destination PM, the VMs they host); everything else the previous forward
+// computed is still valid. The cache keeps one environment's features and
+// row-wise activations across Infer calls, recomputes only what the dirt
+// reaches, and hands the result to the wave's block loop, heads and sampler
+// as a one-segment wave (runBlocks, decide) — with exact bit-parity to a
+// full recompute:
 //
 //   - row-wise stages (embedding MLPs, feed-forward, layer norm, residual
 //     adds, the vm_head column) propagate dirt 1:1 and are patched with the
@@ -21,8 +24,8 @@ import (
 //     between trees — are recomputed;
 //   - dense attention couples every row to every other (one changed K/V row
 //     shifts every softmax denominator), so stages downstream of the first
-//     dense attention recompute in full from the cached, bit-identical
-//     inputs.
+//     dense attention recompute in full (the wave's block loop) from the
+//     cached, bit-identical inputs.
 //
 // Coverage therefore depends on the extractor: NoAttention is fully
 // incremental (this is where the large-cluster speedup lands), SparseAttention
@@ -98,6 +101,12 @@ type stepCache struct {
 
 	stats IncrStats
 
+	// feat is the environment's feature set, updated in place from the
+	// cluster's dirty journal; pmOff/vmOff are the one-segment row layout
+	// over it.
+	feat         sim.Features
+	pmOff, vmOff [2]int
+
 	// Reusable zero-copy tensor headers over the feature buffers and cache
 	// slices.
 	pmX, vmX       tensor.Tensor
@@ -125,26 +134,28 @@ type stepCache struct {
 	groupRows      []int
 }
 
-// forwardIncr is the incremental forwardInfer: consult the step cache, patch
-// dirty rows on a hit, re-prime on a miss or fallback. The returned forward
-// is bit-identical to forwardInfer on a freshly extracted state.
-func (m *Model) forwardIncr(ic *InferCtx, env *sim.Env) *forwardOut {
-	ic.vmHeadCached = nil
+// forwardIncr is the step-cache front end: consult the cache, patch dirty
+// rows on a hit, re-prime on a miss or fallback, and run what the cache does
+// not cover through the wave's block loop. The returned forward is
+// bit-identical to forwardWave on a freshly extracted one-segment wave.
+func (m *Model) forwardIncr(ic *InferCtx, env *sim.Env) *waveOut {
 	sc := &ic.cache
 	c := env.Cluster()
 	valid := sc.primed && sc.model == m && sc.version == m.Params.Version() &&
 		sc.cl == c && sc.token == c.LastClear() &&
 		sc.nPM == len(c.PMs) && sc.nVM == len(c.VMs)
-	if !valid {
-		sc.stats.Misses++
-		return m.primeForward(ic, c)
-	}
-	if c.DirtyFull() {
-		sc.stats.Fallbacks++
-		return m.primeForward(ic, c)
+	if !valid || c.DirtyFull() {
+		if valid {
+			sc.stats.Fallbacks++
+		} else {
+			sc.stats.Misses++
+		}
+		sc.feat.UpdateInto(c, nil, nil, true)
+		sc.token = c.ClearDirty()
+		return m.primeCompute(ic, c)
 	}
 
-	res := ic.feat.UpdateInto(c, c.DirtyPMs(), c.DirtyVMs(), false)
+	res := sc.feat.UpdateInto(c, c.DirtyPMs(), c.DirtyVMs(), false)
 	sc.token = c.ClearDirty()
 	if res.PMAll || res.VMAll ||
 		2*len(res.PMRows) > sc.nPM || 2*len(res.VMRows) > sc.nVM {
@@ -158,8 +169,9 @@ func (m *Model) forwardIncr(ic *InferCtx, env *sim.Env) *forwardOut {
 	sc.pmRows = append(sc.pmRows[:0], res.PMRows...)
 	sc.vmRows = append(sc.vmRows[:0], res.VMRows...)
 	sc.stats.Hits++
+	sc.layOut(ic)
 
-	f := &ic.feat
+	f := &sc.feat
 	ar := &ic.arena
 	m.pmEmbed.InferRows(ar, &sc.pmEmbed, sc.featPM(f), sc.pmRows)
 	m.vmEmbed.InferRows(ar, &sc.vmEmbed, sc.featVM(f), sc.vmRows)
@@ -179,10 +191,7 @@ func (m *Model) forwardIncr(ic *InferCtx, env *sim.Env) *forwardOut {
 			vmE = bc.vmOut
 		}
 		m.vmHead.InferRows(ar, sc.vmHead, vmE, sc.vmRows)
-		ic.vmHeadCached = sc.vmHead
-		out := &ic.out
-		out.pmE, out.vmE, out.crossProbs = pmE, vmE, nil
-		return out
+		return sc.cachedOut(ic, pmE, vmE)
 
 	case SparseAttention:
 		d := sc.x.Cols
@@ -197,43 +206,36 @@ func (m *Model) forwardIncr(ic *InferCtx, env *sim.Env) *forwardOut {
 			copy(sc.x.Data[r*d:(r+1)*d], sc.vmEmbed.Out.Data[v*d:(v+1)*d])
 			sc.xDirty = append(sc.xDirty, r)
 		}
-		groups := m.treeGroups(&ic.gb, f)
+		groups := m.treeGroups(ic)
 		sc.diffGroups(groups)
 		m.blocks[0].tree.InferTreeRows(ar, &sc.tree, sc.x, sc.xDirty, sc.dirtyGroups, sc.groupRows)
 		ar.AddRows(sc.xRes, sc.x, sc.tree.Out, sc.groupRows)
 		sc.saveGroups(groups)
-		return m.forwardTail(ic, f, sc.resPM(), sc.resVM(), groups, true)
+		return m.runBlocks(ic, sc.resPM(), sc.resVM(), groups, true)
 
 	default: // VanillaAttention
-		return m.forwardTail(ic, f, sc.pmEmbed.Out, sc.vmEmbed.Out, nil, false)
+		return m.runBlocks(ic, sc.pmEmbed.Out, sc.vmEmbed.Out, nil, false)
 	}
-}
-
-// primeForward fully re-extracts the features and re-primes the cache.
-func (m *Model) primeForward(ic *InferCtx, c *cluster.Cluster) *forwardOut {
-	ic.feat.UpdateInto(c, nil, nil, true)
-	ic.cache.token = c.ClearDirty()
-	return m.primeCompute(ic, c)
 }
 
 // primeCompute runs a full forward on the (already current) features while
 // capturing every patchable intermediate into the cache. Captures are plain
 // copies of full-kernel outputs, so the primed state is bit-identical to
-// what forwardInfer computes — and to what a later sequence of row patches
+// what forwardWave computes — and to what a later sequence of row patches
 // converges to.
-func (m *Model) primeCompute(ic *InferCtx, c *cluster.Cluster) *forwardOut {
+func (m *Model) primeCompute(ic *InferCtx, c *cluster.Cluster) *waveOut {
 	sc := &ic.cache
-	f := &ic.feat
+	f := &sc.feat
 	ar := &ic.arena
 	sc.model, sc.version = m, m.Params.Version()
 	sc.cl = c
 	sc.nPM, sc.nVM = len(f.PM), len(f.VM)
 	sc.primed = true
+	sc.layOut(ic)
 
 	pmE := m.pmEmbed.InferInto(ar, &sc.pmEmbed, sc.featPM(f))
 	vmE := m.vmEmbed.InferInto(ar, &sc.vmEmbed, sc.featVM(f))
 
-	var out *forwardOut
 	switch m.Cfg.Extractor {
 	case NoAttention:
 		if len(sc.blocks) < len(m.blocks) {
@@ -249,24 +251,37 @@ func (m *Model) primeCompute(ic *InferCtx, c *cluster.Cluster) *forwardOut {
 			vmE = bc.vmOut
 		}
 		sc.vmHead = captureT(sc.vmHead, m.vmHead.Infer(ar, vmE))
-		ic.vmHeadCached = sc.vmHead
-		out = &ic.out
-		out.pmE, out.vmE, out.crossProbs = pmE, vmE, nil
+		return sc.cachedOut(ic, pmE, vmE)
 
 	case SparseAttention:
 		d := m.Cfg.DModel
 		sc.x = ensureT(sc.x, sc.nPM+sc.nVM, d)
 		copy(sc.x.Data[:sc.nPM*d], pmE.Data)
 		copy(sc.x.Data[sc.nPM*d:], vmE.Data)
-		groups := m.treeGroups(&ic.gb, f)
+		groups := m.treeGroups(ic)
 		m.blocks[0].tree.InferTreeInto(ar, &sc.tree, sc.x, groups)
 		sc.xRes = captureT(sc.xRes, ar.Add(sc.x, sc.tree.Out))
 		sc.saveGroups(groups)
-		out = m.forwardTail(ic, f, sc.resPM(), sc.resVM(), groups, true)
+		return m.runBlocks(ic, sc.resPM(), sc.resVM(), groups, true)
 
 	default: // VanillaAttention
-		out = m.forwardTail(ic, f, pmE, vmE, nil, false)
+		return m.runBlocks(ic, pmE, vmE, nil, false)
 	}
+}
+
+// layOut lays the one-segment wave out over the cache's features.
+func (sc *stepCache) layOut(ic *InferCtx) {
+	sc.pmOff[1], sc.vmOff[1] = len(sc.feat.PM), len(sc.feat.VM)
+	ic.pmOff, ic.vmOff = sc.pmOff[:], sc.vmOff[:]
+	ic.feats = append(ic.feats[:0], &sc.feat)
+}
+
+// cachedOut is the NoAttention hand-off: the cache covers the whole block
+// stack and the vm_head column, so the wave output is the cached tensors and
+// no block runs.
+func (sc *stepCache) cachedOut(ic *InferCtx, pmE, vmE *tensor.Tensor) *waveOut {
+	out := &ic.out
+	out.pmAll, out.vmAll, out.crossProbs, out.vmCol = pmE, vmE, nil, sc.vmHead
 	return out
 }
 

@@ -1,13 +1,11 @@
 package policy
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"vmr2l/internal/cluster"
 	"vmr2l/internal/sim"
-	"vmr2l/internal/tensor"
 )
 
 // incrTestEnv builds a cluster large enough that one migration dirties a
@@ -33,55 +31,18 @@ func incrTestEnv(t *testing.T, seed int64) *sim.Env {
 	return sim.New(c, sim.DefaultConfig(64))
 }
 
-// assertSameBits compares two tensors with Float64bits equality — the
-// incremental path must reproduce the full forward exactly, not
+// compareForwards runs the step-cache front end and the full-recompute front
+// end on the same env and asserts every downstream consumer (embeddings, both
+// actor heads, the joint logits, the critic) sees identical Float64bits —
+// the incremental path must reproduce the full forward exactly, not
 // approximately.
-func assertSameBits(t *testing.T, name string, a, b *tensor.Tensor) {
-	t.Helper()
-	if a == nil || b == nil {
-		if a != b {
-			t.Fatalf("%s: nil mismatch", name)
-		}
-		return
-	}
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		t.Fatalf("%s: shape %dx%d vs %dx%d", name, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	for i := range a.Data {
-		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
-			t.Fatalf("%s: element %d: %v vs %v", name, i, a.Data[i], b.Data[i])
-		}
-	}
-}
-
-// compareForwards runs the incremental and the plain forward on the same env
-// and asserts every downstream consumer (embeddings, both actor heads, the
-// joint logits, the critic) sees identical bits.
 func compareForwards(t *testing.T, m *Model, icI, icF *InferCtx, env *sim.Env) {
 	t.Helper()
+	envs := []*sim.Env{env}
 	icI.arena.Reset()
-	outI := m.forwardIncr(icI, env)
-	vmHeadI := icI.vmHeadCached
-
-	icF.arena.Reset()
-	sim.ExtractInto(&icF.feat, env.Cluster())
-	outF := m.forwardInfer(icF, &icF.feat)
-
-	assertSameBits(t, "pmE", outI.pmE, outF.pmE)
-	assertSameBits(t, "vmE", outI.vmE, outF.vmE)
-	assertSameBits(t, "crossProbs", outI.crossProbs, outF.crossProbs)
-
-	// Heads. vmLogitsInfer on the incremental ctx may serve from the cached
-	// head column; restore it after the plain ctx's call cleared nothing.
-	icI.vmHeadCached = vmHeadI
-	vmMask := env.VMMask()
-	assertSameBits(t, "vmLogits", m.vmLogitsInfer(icI, outI, vmMask), m.vmLogitsInfer(icF, outF, vmMask))
-	pmMask := env.PMMask(0)
-	assertSameBits(t, "pmLogits", m.pmLogitsInfer(icI, outI, 0, pmMask), m.pmLogitsInfer(icF, outF, 0, pmMask))
-	assertSameBits(t, "jointLogits", m.jointLogitsInfer(icI, outI, nil), m.jointLogitsInfer(icF, outF, nil))
-	if vi, vf := m.valueInfer(icI, outI), m.valueInfer(icF, outF); math.Float64bits(vi) != math.Float64bits(vf) {
-		t.Fatalf("value: %v vs %v", vi, vf)
-	}
+	incr := waveSegs(m, icI, m.forwardIncr(icI, env), envs)[0]
+	full := waveSegs(m, icF, waveForward(m, icF, envs), envs)[0]
+	compareSegs(t, "incremental vs full", full, incr, 0)
 }
 
 // stepEnv advances the env one uniformly random legal migration. Random

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"vmr2l/internal/cluster"
 	"vmr2l/internal/sim"
 	"vmr2l/internal/tensor"
 )
@@ -14,153 +15,89 @@ import (
 // ErrNoMigratableVM is returned by Infer when stage 1 has no legal candidate.
 var ErrNoMigratableVM = errors.New("policy: no migratable VM")
 
-// InferCtx is the per-goroutine scratch state of the allocation-free
-// inference path: a tensor arena for the forward pass plus reusable feature,
-// mask, and probability buffers. Obtain one with NewInferCtx and reuse it
-// across steps and episodes; it is not safe for concurrent use.
+// InferCtx is the scratch state of the graph-free inference path: one tensor
+// arena for the wave forward, the two front ends that feed it (a stacked
+// feature batch for full recomputes, the step cache of incr.go for
+// incremental ones), and reusable mask and wave buffers. Obtain one with
+// NewInferCtx (or AcquireCtx for a pooled, warm one) and reuse it across
+// waves and episodes; it is not safe for concurrent use. At a stable wave
+// shape a full wave performs zero heap allocations.
 type InferCtx struct {
 	arena tensor.Arena
-	feat  sim.Features
-	out   forwardOut
-	// gb caches the tree partition for sparse attention.
-	gb groupBuf
-	// Stage masks and distributions, reused across steps.
+
+	// fb holds a wave's freshly extracted features, all segments stacked.
+	fb sim.FeatureBatch
+	// incr enables the step cache (incr.go): one environment's embeddings
+	// carry over from the previous Infer and only dirty rows recompute. Off
+	// by default; results are bit-identical either way.
+	incr  bool
+	cache stepCache
+
+	// Row layout of the current wave, set by whichever front end ran:
+	// segment b owns PM rows pmOff[b]:pmOff[b+1] and VM rows
+	// vmOff[b]:vmOff[b+1] of the stacked embeddings, and feats[b] is its
+	// feature set (tree structure, WaveAct snapshot source).
+	pmOff, vmOff []int
+	feats        []*sim.Features
+
+	gb  groupBuf
+	out waveOut
+
+	// Sampling scratch, reused across rows and waves.
 	vmMask    []bool
 	pmMask    []bool
 	jointMask []bool
-	vmProbs   []float64
-	pmProbs   []float64
 	sortBuf   []float64
-	// incr enables the step cache (incr.go): embeddings and other row-wise
-	// stages carry over from the previous Infer on the same cluster and only
-	// dirty rows recompute. Off by default; results are bit-identical either
-	// way.
-	incr  bool
-	cache stepCache
-	// vmHeadCached, when non-nil, is the cache's maintained vm_head output
-	// column (M×1) for the current forward; vmLogitsInfer uses it instead of
-	// re-running the head GEMM. Reset by every forward entry.
-	vmHeadCached *tensor.Tensor
+	vmSel     []int
+	values    []float64
+
+	// Request/result scratch of the typed single-kind entry points.
+	clusters []*cluster.Cluster
+	reqs     []WaveReq
+	waveRes  []WaveRes
 }
+
+// BatchInferCtx is InferCtx: a wave of one and a wave of many share one
+// context type.
+type BatchInferCtx = InferCtx
 
 // NewInferCtx returns an empty inference context.
 func NewInferCtx() *InferCtx { return &InferCtx{} }
 
-// inferPool recycles contexts for Act/Probabilities callers that do not
-// manage their own.
-var inferPool = sync.Pool{New: func() any { return NewInferCtx() }}
+// NewBatchInferCtx returns an empty inference context.
+func NewBatchInferCtx() *BatchInferCtx { return NewInferCtx() }
 
-// forwardInfer runs the feature extractor on one state through the arena:
-// identical math to forward, no autograd graph, no steady-state allocation.
-func (m *Model) forwardInfer(ic *InferCtx, f *sim.Features) *forwardOut {
-	ar := &ic.arena
-	ic.vmHeadCached = nil
-	pmE := m.pmEmbed.Infer(ar, ar.FromFlat(len(f.PM), sim.PMFeatDim, f.FlatPM()))
-	vmE := m.vmEmbed.Infer(ar, ar.FromFlat(len(f.VM), sim.VMFeatDim, f.FlatVM()))
-	groups := m.treeGroups(&ic.gb, f)
-	return m.forwardTail(ic, f, pmE, vmE, groups, false)
-}
+// ctxPool recycles contexts for callers that do not manage their own.
+var ctxPool = sync.Pool{New: func() any { return NewInferCtx() }}
 
-// forwardTail runs the block stack from given PM/VM embeddings onward —
-// shared between forwardInfer and the incremental path, which enters with
-// cached (and possibly row-patched) embeddings. skipFirstTree skips block
-// 0's tree stage: the incremental path has already patched it and hands in
-// pmE/vmE as views of the cached post-tree residual. pmE/vmE may be
-// persistent cache tensors; every stage here treats its inputs read-only.
-func (m *Model) forwardTail(ic *InferCtx, f *sim.Features, pmE, vmE *tensor.Tensor, groups [][]int, skipFirstTree bool) *forwardOut {
-	ar := &ic.arena
-	out := &ic.out
-	out.pmE, out.vmE, out.crossProbs = nil, nil, nil
-	numPM := len(f.PM)
-	for bi, blk := range m.blocks {
-		if blk.tree != nil && !(skipFirstTree && bi == 0) {
-			// Stage 1: tree-local attention over stacked [PM; VM] rows,
-			// computed block-diagonally per PM tree.
-			x := ar.ConcatRows(pmE, vmE)
-			tx := blk.tree.InferTree(ar, x, groups)
-			x = ar.Add(x, tx) // residual
-			pmE = ar.Rows(x, 0, numPM)
-			vmE = ar.Rows(x, numPM, numPM+len(f.VM))
-		}
-		if blk.pmSelf != nil {
-			// Stage 2: intra-set self-attention.
-			pa, _ := blk.pmSelf.Infer(ar, pmE, pmE, nil)
-			pmE = ar.Add(pmE, pa)
-			va, _ := blk.vmSelf.Infer(ar, vmE, vmE, nil)
-			vmE = ar.Add(vmE, va)
-			// Stage 3: VM -> PM cross attention.
-			ca, probs := blk.cross.Infer(ar, vmE, pmE, nil)
-			vmE = ar.Add(vmE, ca)
-			out.crossProbs = probs
-		}
-		// Dense layers + layer norm.
-		pmE = blk.pmLN.Infer(ar, ar.Add(pmE, blk.pmFF.Infer(ar, pmE)))
-		vmE = blk.vmLN.Infer(ar, ar.Add(vmE, blk.vmFF.Infer(ar, vmE)))
-	}
-	out.pmE, out.vmE = pmE, vmE
-	return out
-}
+// AcquireCtx returns a pooled inference context with warm buffers; call
+// Release when done. External consumers (risk-seeking evaluation, MCTS value
+// priors, the serving scheduler) use this instead of growing a fresh
+// context's arena per request.
+func AcquireCtx() *InferCtx { return ctxPool.Get().(*InferCtx) }
 
-// vmLogitsInfer is the graph-free vmLogits. When the step cache maintains
-// the vm_head output column (NoAttention mode), the M×d head GEMM is
-// replaced by a transpose of the cached column — same bits, the cache
-// patches the column with the same kernel dispatch the full head uses.
-func (m *Model) vmLogitsInfer(ic *InferCtx, out *forwardOut, mask []bool) *tensor.Tensor {
-	ar := &ic.arena
-	var row *tensor.Tensor
-	if ic.vmHeadCached != nil {
-		row = ar.Transpose(ic.vmHeadCached) // 1×M
-	} else {
-		row = ar.Transpose(m.vmHead.Infer(ar, out.vmE)) // 1×M
-	}
-	if mask != nil {
-		row = ar.MaskedFill(row, mask, -1e9)
-	}
-	return row
-}
+// Release returns the context to the pool. The context must not be used
+// afterwards.
+func (ic *InferCtx) Release() { ctxPool.Put(ic) }
 
-// pmLogitsInfer is the graph-free pmLogits.
-func (m *Model) pmLogitsInfer(ic *InferCtx, out *forwardOut, vm int, mask []bool) *tensor.Tensor {
-	ar := &ic.arena
-	n := out.pmE.Rows
-	sel := ar.Rows(out.vmE, vm, vm+1) // 1×d view
-	selB := ar.RepeatRow(sel, n)      // N×d
-	var score *tensor.Tensor
-	if out.crossProbs != nil {
-		score = ar.Transpose(ar.Rows(out.crossProbs, vm, vm+1)) // N×1
-	} else {
-		score = ar.Tensor(n, 1)
-	}
-	merged := ar.ConcatCols(ar.ConcatCols(out.pmE, selB), score) // N×(2d+1)
-	row := ar.Transpose(m.pmMerge.Infer(ar, merged))             // 1×N
-	if mask != nil {
-		row = ar.MaskedFill(row, mask, -1e9)
-	}
-	return row
-}
-
-// jointLogitsInfer is the graph-free jointLogits.
-func (m *Model) jointLogitsInfer(ic *InferCtx, out *forwardOut, mask []bool) *tensor.Tensor {
-	ar := &ic.arena
-	scores := ar.MatMulT(out.vmE, out.pmE) // M×N
-	flat := ar.Reshape(scores, 1, scores.Rows*scores.Cols)
-	if mask != nil {
-		flat = ar.MaskedFill(flat, mask, -1e9)
-	}
-	return flat
-}
-
-// valueInfer is the graph-free critic head.
-func (m *Model) valueInfer(ic *InferCtx, out *forwardOut) float64 {
-	ar := &ic.arena
-	pooled := ar.ConcatCols(ar.MeanRows(out.pmE), ar.MeanRows(out.vmE))
-	return m.critic.Infer(ar, pooled).Data[0]
+// one returns the context's request scratch holding the single row req.
+func (ic *InferCtx) one(req WaveReq) []WaveReq {
+	ic.reqs = append(ic.reqs[:0], req)
+	return ic.reqs
 }
 
 // resizeFloats returns dst with length n, reallocating only when needed.
 func resizeFloats(dst []float64, n int) []float64 {
 	if cap(dst) < n {
 		return make([]float64, n)
+	}
+	return dst[:n]
+}
+
+// resizeInts returns dst with length n, reallocating only when needed.
+func resizeInts(dst []int, n int) []int {
+	if cap(dst) < n {
+		return make([]int, n)
 	}
 	return dst[:n]
 }
@@ -197,85 +134,22 @@ func applyThresholdBuf(buf, probs []float64, mask []bool, q float64) []float64 {
 	return buf
 }
 
-// applyThreshold is applyThresholdBuf reusing the context's sort buffer.
-func (ic *InferCtx) applyThreshold(probs []float64, mask []bool, q float64) {
-	ic.sortBuf = applyThresholdBuf(ic.sortBuf, probs, mask, q)
-}
-
-// Infer selects an action on the environment's current state through the
-// allocation-free fast path: features are re-extracted into the context,
-// the forward pass runs on the arena, and only the chosen (vm, pm) pair is
-// returned. Use this for rollouts and serving; use Act when the decision
-// record (state snapshot, log-prob, value) must be retained for training.
+// Infer selects an action on the environment's current state: a wave of one
+// WaveInfer row on the caller's context, allocation-free once warm. With the
+// step cache on, the cache supplies the row's embeddings in place of a full
+// extract-and-embed; block loop, heads and sampler are the wave's either
+// way. Use this for rollouts and serving; use Act when the decision record
+// (state snapshot, log-prob, value) must be retained for training.
 func (m *Model) Infer(ic *InferCtx, env *sim.Env, rng *rand.Rand, opts SampleOpts) (vm, pm int, err error) {
-	ic.arena.Reset()
-	var out *forwardOut
+	reqs := ic.one(WaveReq{Kind: WaveInfer, Env: env, Rng: rng, Opts: opts})
 	if ic.incr {
-		out = m.forwardIncr(ic, env)
+		ic.arena.Reset()
+		ic.waveRes = m.decide(ic, m.forwardIncr(ic, env), reqs, ic.waveRes)
 	} else {
-		sim.ExtractInto(&ic.feat, env.Cluster())
-		out = m.forwardInfer(ic, &ic.feat)
+		ic.waveRes = m.ServeWave(ic, reqs, ic.waveRes)
 	}
-
-	switch m.Cfg.Action {
-	case FullMask:
-		mTotal, nTotal := len(ic.feat.VM), len(ic.feat.PM)
-		if cap(ic.jointMask) < mTotal*nTotal {
-			ic.jointMask = make([]bool, mTotal*nTotal)
-		} else {
-			ic.jointMask = ic.jointMask[:mTotal*nTotal]
-			for i := range ic.jointMask {
-				ic.jointMask[i] = false
-			}
-		}
-		ic.vmMask = env.VMMaskInto(ic.vmMask)
-		for v := 0; v < mTotal; v++ {
-			if !ic.vmMask[v] {
-				continue
-			}
-			ic.pmMask = env.PMMaskInto(v, ic.pmMask)
-			for p := 0; p < nTotal; p++ {
-				ic.jointMask[v*nTotal+p] = ic.pmMask[p]
-			}
-		}
-		probs := ic.arena.Softmax(m.jointLogitsInfer(ic, out, ic.jointMask)).Data
-		idx := sampleRow(probs, rng, opts.Greedy)
-		return idx / nTotal, idx % nTotal, nil
-
-	case Penalty:
-		vmProbs := ic.arena.Softmax(m.vmLogitsInfer(ic, out, nil)).Data
-		vm = sampleRow(vmProbs, rng, opts.Greedy)
-		pmProbs := ic.arena.Softmax(m.pmLogitsInfer(ic, out, vm, nil)).Data
-		pm = sampleRow(pmProbs, rng, opts.Greedy)
-		return vm, pm, nil
-
-	default: // TwoStage
-		ic.vmMask = env.VMMaskInto(ic.vmMask)
-		if !anyTrue(ic.vmMask) {
-			return 0, 0, ErrNoMigratableVM
-		}
-		ic.vmProbs = resizeFloats(ic.vmProbs, len(ic.vmMask))
-		copy(ic.vmProbs, ic.arena.Softmax(m.vmLogitsInfer(ic, out, ic.vmMask)).Data)
-		if opts.VMQuantile > 0 {
-			ic.applyThreshold(ic.vmProbs, ic.vmMask, opts.VMQuantile)
-		}
-		vm = sampleLegal(ic.vmProbs, ic.vmMask, rng, opts.Greedy)
-
-		ic.pmMask = env.PMMaskInto(vm, ic.pmMask)
-		ic.pmProbs = resizeFloats(ic.pmProbs, len(ic.pmMask))
-		copy(ic.pmProbs, ic.arena.Softmax(m.pmLogitsInfer(ic, out, vm, ic.pmMask)).Data)
-		if opts.PMQuantile > 0 {
-			ic.applyThreshold(ic.pmProbs, ic.pmMask, opts.PMQuantile)
-		}
-		pm = sampleLegal(ic.pmProbs, ic.pmMask, rng, opts.Greedy)
-
-		if m.Cfg.PMSubset > 0 {
-			// Decima-style: resample the PM from a random legal subset,
-			// overriding the learned stage-2 choice.
-			pm = subsetPM(ic.pmMask, m.Cfg.PMSubset, ic.pmProbs, rng)
-		}
-		return vm, pm, nil
-	}
+	r := &ic.waveRes[0]
+	return r.VM, r.PM, r.Err
 }
 
 // logProbOf returns log(p) with the same epsilon floor the training path

@@ -1,27 +1,25 @@
 package policy
 
 import (
-	"context"
 	"math/rand"
-	"sync"
 
 	"vmr2l/internal/cluster"
 	"vmr2l/internal/sim"
 	"vmr2l/internal/tensor"
 )
 
-// Batched inference: one forward pass for many environments. The B
-// environments' PM rows are stacked into one (ΣnPM)×d matrix and their VM
-// rows into one (ΣnVM)×d matrix, so every row-wise stage — the embedding
-// MLPs, the feed-forward blocks, layer norms, residuals, and the actor/critic
-// heads — runs as a single B-row GEMM through the register-blocked matmul
-// kernels instead of B single-environment calls. The cross-row stages
-// (tree-local, self, and cross attention) are block-diagonal per environment
-// and run on zero-copy row segments through the same kernels. Because every
-// kernel computes each output row independently of how many other rows share
-// the call, the batched forward is bit-identical per environment to the
-// sequential Infer fast path; the property tests in infer_batch_test.go pin
-// that equivalence for every action mode, including ragged batches.
+// The wave forward: one graph-free forward pass for any number of
+// environments. The B environments' PM rows are stacked into one (ΣnPM)×d
+// matrix and their VM rows into one (ΣnVM)×d matrix, so every row-wise stage
+// — the embedding MLPs, the feed-forward blocks, layer norms, residuals, and
+// the actor/critic heads — runs as a single GEMM through the
+// register-blocked matmul kernels. The cross-row stages (tree-local, self,
+// and cross attention) are block-diagonal per environment and run on
+// zero-copy row segments through the same kernels. Because every kernel
+// computes each output row independently of how many other rows share the
+// call, a segment's result has the same bits alone (B=1) and inside any
+// ragged wave; the property tests in infer_test.go pin the wave to the
+// autograd forward and each row to itself across wave compositions.
 
 // BatchAction is one environment's decision from InferBatch.
 type BatchAction struct {
@@ -31,66 +29,17 @@ type BatchAction struct {
 	Err error
 }
 
-// BatchInferCtx is the pooled scratch state of the batched inference path: a
-// tensor arena for the stacked forward pass, the batched feature extractor,
-// the concatenated tree partition, and reusable mask/probability buffers.
-// Reuse one across waves and episodes; it is not safe for concurrent use. At
-// a stable batch shape a full InferBatch performs zero heap allocations.
-type BatchInferCtx struct {
-	arena tensor.Arena
-	fb    sim.FeatureBatch
-	bgb   batchGroupBuf
-	out   batchOut
-
-	// Sampling scratch, reused across environments and waves.
-	vmMask    []bool
-	pmMask    []bool
-	jointMask []bool
-	vmProbs   []float64
-	pmProbs   []float64
-	sortBuf   []float64
-	vmSel     []int
-	values    []float64
-	// actVMProbs retains per-row stage-1 probabilities across the stage-2
-	// pass for WaveAct rows (log-prob needs them); row buffers are reused
-	// across waves.
-	actVMProbs [][]float64
-
-	// Wave scratch for RolloutBatch and the typed wrappers.
-	clusters []*cluster.Cluster
-	active   []int
-	waveEnvs []*sim.Env
-	waveRngs []*rand.Rand
-	waveOpts []SampleOpts
-	acts     []BatchAction
-	reqs     []WaveReq
-	waveRes  []WaveRes
-}
-
-// NewBatchInferCtx returns an empty batched inference context.
-func NewBatchInferCtx() *BatchInferCtx { return &BatchInferCtx{} }
-
-// batchPool recycles contexts for callers that do not manage their own.
-var batchPool = sync.Pool{New: func() any { return NewBatchInferCtx() }}
-
-// AcquireBatchCtx returns a pooled batched inference context with warm
-// buffers; call Release when done. External consumers (risk-seeking
-// evaluation, MCTS value priors) use this instead of growing a fresh
-// context's arena per request.
-func AcquireBatchCtx() *BatchInferCtx { return batchPool.Get().(*BatchInferCtx) }
-
-// Release returns the context to the pool. The context must not be used
-// afterwards.
-func (bc *BatchInferCtx) Release() { batchPool.Put(bc) }
-
-// batchOut carries the stacked extractor outputs. Row segment b of pmAll /
-// vmAll (delimited by the FeatureBatch offsets) is bit-identical to the
-// forwardOut of environment b alone.
-type batchOut struct {
+// waveOut carries the stacked extractor outputs. Row segment b of pmAll /
+// vmAll is delimited by the context's pmOff / vmOff.
+type waveOut struct {
 	pmAll, vmAll *tensor.Tensor
-	// crossProbs[b] is environment b's stage-3 VM→PM attention of the last
-	// block (m_b×n_b); nil in NoAttention mode.
+	// crossProbs[b] is segment b's stage-3 VM→PM attention of the last block
+	// (m_b×n_b); nil in NoAttention mode.
 	crossProbs []*tensor.Tensor
+	// vmCol, when non-nil, is the step cache's maintained vm_head output
+	// column (ΣnVM×1); the stage-1 head uses it instead of re-running the
+	// head GEMM.
+	vmCol *tensor.Tensor
 	// scratch for InferSeg probability slices (self-attention probs are
 	// discarded; cross probs live in crossProbs, backed by crossBuf so the
 	// slice header is reused across calls).
@@ -98,126 +47,101 @@ type batchOut struct {
 	crossBuf []*tensor.Tensor
 }
 
-// batchGroupBuf builds the concatenated tree partition of the interleaved
-// [PM_0; VM_0; PM_1; VM_1; …] row space: environment b's groups are its
-// per-PM trees and unplaced-VM singletons shifted by its row base. Feeding
-// the concatenation to one GroupedAttention call computes every
-// environment's tree attention block-diagonally in a single pass.
-type batchGroupBuf struct {
-	groups [][]int
-	flat   []int
-	counts []int
+// extractWave is the full-recompute front end: every request's features are
+// extracted into the stacked batch, and the wave is laid out over it.
+func (ic *InferCtx) extractWave(reqs []WaveReq) {
+	ic.clusters = ic.clusters[:0]
+	for i := range reqs {
+		c := reqs[i].State
+		if reqs[i].Env != nil {
+			c = reqs[i].Env.Cluster()
+		}
+		ic.clusters = append(ic.clusters, c)
+	}
+	fb := &ic.fb
+	fb.Extract(ic.clusters)
+	ic.pmOff, ic.vmOff = fb.PMOff, fb.VMOff
+	ic.feats = ic.feats[:0]
+	for i := range fb.Envs {
+		ic.feats = append(ic.feats, &fb.Envs[i])
+	}
 }
 
-func (gb *batchGroupBuf) build(fb *sim.FeatureBatch) [][]int {
-	nEnv := fb.Len()
-	totRows := fb.PMOff[nEnv] + fb.VMOff[nEnv]
-	if cap(gb.flat) < totRows {
-		gb.flat = make([]int, totRows)
-	} else {
-		gb.flat = gb.flat[:totRows]
-	}
-	gb.groups = gb.groups[:0]
-	off := 0
-	for b := 0; b < nEnv; b++ {
-		host := fb.Envs[b].HostPM
-		nPM := fb.PMOff[b+1] - fb.PMOff[b]
-		base := fb.PMOff[b] + fb.VMOff[b]
-		if cap(gb.counts) < nPM {
-			gb.counts = make([]int, nPM)
-		} else {
-			gb.counts = gb.counts[:nPM]
-		}
-		for t := 0; t < nPM; t++ {
-			gb.counts[t] = 1 // the PM row itself
-		}
-		for _, h := range host {
-			if h >= 0 {
-				gb.counts[h]++
-			}
-		}
-		// Trees back to back; counts[t] becomes tree t's write cursor.
-		for t := 0; t < nPM; t++ {
-			size := gb.counts[t]
-			gb.groups = append(gb.groups, gb.flat[off:off+size:off+size])
-			gb.flat[off] = base + t
-			gb.counts[t] = off + 1
-			off += size
-		}
-		for v, h := range host {
-			if h >= 0 {
-				gb.flat[gb.counts[h]] = base + nPM + v
-				gb.counts[h]++
-			}
-		}
-		for v, h := range host {
-			if h < 0 {
-				gb.flat[off] = base + nPM + v
-				gb.groups = append(gb.groups, gb.flat[off:off+1:off+1])
-				off++
-			}
-		}
-	}
-	return gb.groups
+// forwardWave embeds the extracted batch and runs the block stack: identical
+// math per segment to forward, one GEMM per row-wise stage for the whole
+// wave.
+func (m *Model) forwardWave(ic *InferCtx) *waveOut {
+	ar := &ic.arena
+	fb := &ic.fb
+	n := fb.Len()
+	pmAll := m.pmEmbed.Infer(ar, ar.FromFlat(fb.PMOff[n], sim.PMFeatDim, fb.FlatPM()))
+	vmAll := m.vmEmbed.Infer(ar, ar.FromFlat(fb.VMOff[n], sim.VMFeatDim, fb.FlatVM()))
+	return m.runBlocks(ic, pmAll, vmAll, m.treeGroups(ic), false)
 }
 
-// forwardInferBatch runs the stacked forward pass over every environment in
-// bc.fb: identical math per environment to forwardInfer, one GEMM per
-// row-wise stage for the whole batch.
-func (m *Model) forwardInferBatch(bc *BatchInferCtx) *batchOut {
-	ar := &bc.arena
-	fb := &bc.fb
-	nEnv := fb.Len()
-	totPM, totVM := fb.PMOff[nEnv], fb.VMOff[nEnv]
-	pmAll := m.pmEmbed.Infer(ar, ar.FromFlat(totPM, sim.PMFeatDim, fb.FlatPM()))
-	vmAll := m.vmEmbed.Infer(ar, ar.FromFlat(totVM, sim.VMFeatDim, fb.FlatVM()))
-	out := &bc.out
-	out.pmAll, out.vmAll, out.crossProbs = nil, nil, nil
-	var groups [][]int
-	if m.Cfg.Extractor == SparseAttention {
-		groups = bc.bgb.build(fb)
+// treeGroups builds the tree partition of the wave's interleaved rows when
+// the extractor has a tree stage, and returns nil otherwise.
+func (m *Model) treeGroups(ic *InferCtx) [][]int {
+	if m.Cfg.Extractor != SparseAttention {
+		return nil
 	}
+	return ic.gb.build(ic.feats)
+}
+
+// runBlocks runs the block stack from the given stacked PM/VM embeddings over
+// the context's row layout — the one block loop both front ends feed.
+// skipFirstTree skips block 0's tree stage: the step cache has already
+// patched it and hands in views of its cached post-tree residual. pmAll /
+// vmAll may be persistent cache tensors; every stage here treats its inputs
+// read-only.
+func (m *Model) runBlocks(ic *InferCtx, pmAll, vmAll *tensor.Tensor, groups [][]int, skipFirstTree bool) *waveOut {
+	ar := &ic.arena
+	pmOff, vmOff := ic.pmOff, ic.vmOff
+	nSeg := len(pmOff) - 1
+	totPM, totVM := pmOff[nSeg], vmOff[nSeg]
+	out := &ic.out
+	out.crossProbs, out.vmCol = nil, nil
 	d := pmAll.Cols
-	for _, blk := range m.blocks {
-		if blk.tree != nil {
+	for bi, blk := range m.blocks {
+		if blk.tree != nil && !(skipFirstTree && bi == 0) {
 			// Stage 1: tree-local attention over the interleaved
 			// [PM_b; VM_b] stacks, block-diagonal across trees AND
-			// environments in one GroupedAttention pass.
+			// segments in one GroupedAttention pass.
 			x := ar.Uninit(totPM+totVM, d)
-			for b := 0; b < nEnv; b++ {
-				base := fb.PMOff[b] + fb.VMOff[b]
-				nPM := fb.PMOff[b+1] - fb.PMOff[b]
-				ar.SetRows(x, base, ar.Rows(pmAll, fb.PMOff[b], fb.PMOff[b+1]))
-				ar.SetRows(x, base+nPM, ar.Rows(vmAll, fb.VMOff[b], fb.VMOff[b+1]))
+			for b := 0; b < nSeg; b++ {
+				base := pmOff[b] + vmOff[b]
+				nPM := pmOff[b+1] - pmOff[b]
+				ar.SetRows(x, base, ar.Rows(pmAll, pmOff[b], pmOff[b+1]))
+				ar.SetRows(x, base+nPM, ar.Rows(vmAll, vmOff[b], vmOff[b+1]))
 			}
 			tx := blk.tree.InferTree(ar, x, groups)
 			x = ar.Add(x, tx) // residual
 			pmNew := ar.Uninit(totPM, d)
 			vmNew := ar.Uninit(totVM, d)
-			for b := 0; b < nEnv; b++ {
-				base := fb.PMOff[b] + fb.VMOff[b]
-				nPM := fb.PMOff[b+1] - fb.PMOff[b]
-				nVM := fb.VMOff[b+1] - fb.VMOff[b]
-				ar.SetRows(pmNew, fb.PMOff[b], ar.Rows(x, base, base+nPM))
-				ar.SetRows(vmNew, fb.VMOff[b], ar.Rows(x, base+nPM, base+nPM+nVM))
+			for b := 0; b < nSeg; b++ {
+				base := pmOff[b] + vmOff[b]
+				nPM := pmOff[b+1] - pmOff[b]
+				nVM := vmOff[b+1] - vmOff[b]
+				ar.SetRows(pmNew, pmOff[b], ar.Rows(x, base, base+nPM))
+				ar.SetRows(vmNew, vmOff[b], ar.Rows(x, base+nPM, base+nPM+nVM))
 			}
 			pmAll, vmAll = pmNew, vmNew
 		}
 		if blk.pmSelf != nil {
-			// Stage 2: intra-set self-attention, segment-diagonal per env.
-			pa, sp := blk.pmSelf.InferSeg(ar, pmAll, pmAll, fb.PMOff, fb.PMOff, out.segProbs)
+			// Stage 2: intra-set self-attention, segment-diagonal.
+			pa, sp := blk.pmSelf.InferSeg(ar, pmAll, pmAll, pmOff, pmOff, out.segProbs)
 			out.segProbs = sp
 			pmAll = ar.Add(pmAll, pa)
-			va, sp2 := blk.vmSelf.InferSeg(ar, vmAll, vmAll, fb.VMOff, fb.VMOff, out.segProbs)
+			va, sp2 := blk.vmSelf.InferSeg(ar, vmAll, vmAll, vmOff, vmOff, out.segProbs)
 			out.segProbs = sp2
 			vmAll = ar.Add(vmAll, va)
 			// Stage 3: VM -> PM cross attention.
-			ca, cp := blk.cross.InferSeg(ar, vmAll, pmAll, fb.VMOff, fb.PMOff, out.crossBuf)
+			ca, cp := blk.cross.InferSeg(ar, vmAll, pmAll, vmOff, pmOff, out.crossBuf)
 			out.crossBuf = cp
 			out.crossProbs = cp
 			vmAll = ar.Add(vmAll, ca)
 		}
-		// Dense layers + layer norm: one stacked GEMM chain for the batch.
+		// Dense layers + layer norm: one stacked GEMM chain for the wave.
 		pmAll = blk.pmLN.Infer(ar, ar.Add(pmAll, blk.pmFF.Infer(ar, pmAll)))
 		vmAll = blk.vmLN.Infer(ar, ar.Add(vmAll, blk.vmFF.Infer(ar, vmAll)))
 	}
@@ -225,77 +149,66 @@ func (m *Model) forwardInferBatch(bc *BatchInferCtx) *batchOut {
 	return out
 }
 
-// vmLogitsBatch computes stage-1 logits for every environment in one stacked
-// head GEMM and returns the totVM×1 column; per-environment rows come from
-// vmLogitsRow.
-func (m *Model) vmLogitsBatch(bc *BatchInferCtx, out *batchOut) *tensor.Tensor {
-	return m.vmHead.Infer(&bc.arena, out.vmAll)
+// vmLogitsCol computes stage-1 logits for every segment in one stacked head
+// GEMM and returns the ΣnVM×1 column (the step cache's maintained column
+// when it supplied one — same bits, it patches the column with the same
+// kernel dispatch the full head uses).
+func (m *Model) vmLogitsCol(ic *InferCtx, out *waveOut) *tensor.Tensor {
+	if out.vmCol != nil {
+		return out.vmCol
+	}
+	return m.vmHead.Infer(&ic.arena, out.vmAll)
 }
 
-// vmLogitsRow extracts environment b's 1×M stage-1 logit row from the
-// stacked column, applying the optional legality mask.
-func (m *Model) vmLogitsRow(bc *BatchInferCtx, col *tensor.Tensor, b int, mask []bool) *tensor.Tensor {
-	ar := &bc.arena
-	row := ar.Transpose(ar.Rows(col, bc.fb.VMOff[b], bc.fb.VMOff[b+1]))
+// logitsRow extracts one segment's 1×n logit row (rows lo:hi of a stacked
+// head column), applying the optional legality mask.
+func logitsRow(ar *tensor.Arena, col *tensor.Tensor, lo, hi int, mask []bool) *tensor.Tensor {
+	row := ar.Transpose(ar.Rows(col, lo, hi))
 	if mask != nil {
 		row = ar.MaskedFill(row, mask, -1e9)
 	}
 	return row
 }
 
-// pmMergeBatch assembles the stage-2 merge input for every environment —
-// [pmE, broadcast selected-VM embedding, stage-3 attention score] — and runs
-// pmMerge as one stacked GEMM. vmSel[b] is environment b's selected VM (a
-// negative selection leaves that environment's rows zero; its output is
-// unused). Returns the totPM×1 logit column.
-func (m *Model) pmMergeBatch(bc *BatchInferCtx, out *batchOut, vmSel []int) *tensor.Tensor {
-	ar := &bc.arena
-	fb := &bc.fb
-	nEnv := fb.Len()
+// pmLogitsCol assembles the stage-2 merge input for every segment — [pmE,
+// broadcast selected-VM embedding, stage-3 attention score] — and runs
+// pmMerge as one stacked GEMM. vmSel[b] is segment b's selected VM (a
+// negative selection leaves that segment's rows zero; its output is unused).
+// Returns the ΣnPM×1 logit column.
+func (m *Model) pmLogitsCol(ic *InferCtx, out *waveOut, vmSel []int) *tensor.Tensor {
+	ar := &ic.arena
+	pmOff, vmOff := ic.pmOff, ic.vmOff
 	d := out.pmAll.Cols
 	w := 2*d + 1
-	merged := ar.Tensor(fb.PMOff[nEnv], w)
-	for b := 0; b < nEnv; b++ {
-		vm := vmSel[b]
+	merged := ar.Tensor(pmOff[len(vmSel)], w)
+	for b, vm := range vmSel {
 		if vm < 0 {
 			continue
 		}
-		sel := out.vmAll.Data[(fb.VMOff[b]+vm)*d : (fb.VMOff[b]+vm+1)*d]
+		sel := out.vmAll.Data[(vmOff[b]+vm)*d : (vmOff[b]+vm+1)*d]
 		var crossRow []float64
 		if out.crossProbs != nil {
 			cp := out.crossProbs[b]
 			crossRow = cp.Data[vm*cp.Cols : (vm+1)*cp.Cols]
 		}
-		for i := fb.PMOff[b]; i < fb.PMOff[b+1]; i++ {
+		for i := pmOff[b]; i < pmOff[b+1]; i++ {
 			dst := merged.Data[i*w : (i+1)*w]
 			copy(dst[:d], out.pmAll.Data[i*d:(i+1)*d])
 			copy(dst[d:2*d], sel)
 			if crossRow != nil {
-				dst[2*d] = crossRow[i-fb.PMOff[b]]
+				dst[2*d] = crossRow[i-pmOff[b]]
 			}
 		}
 	}
 	return m.pmMerge.Infer(ar, merged)
 }
 
-// pmLogitsRow extracts environment b's 1×N stage-2 logit row from the merged
-// column, applying the optional legality mask.
-func (m *Model) pmLogitsRow(bc *BatchInferCtx, col *tensor.Tensor, b int, mask []bool) *tensor.Tensor {
-	ar := &bc.arena
-	row := ar.Transpose(ar.Rows(col, bc.fb.PMOff[b], bc.fb.PMOff[b+1]))
-	if mask != nil {
-		row = ar.MaskedFill(row, mask, -1e9)
-	}
-	return row
-}
-
-// jointLogitsBatchRow computes environment b's FullMask joint logits
-// (1×(M·N)) from the stacked embeddings.
-func (m *Model) jointLogitsBatchRow(bc *BatchInferCtx, out *batchOut, b int, mask []bool) *tensor.Tensor {
-	ar := &bc.arena
-	fb := &bc.fb
-	vmE := ar.Rows(out.vmAll, fb.VMOff[b], fb.VMOff[b+1])
-	pmE := ar.Rows(out.pmAll, fb.PMOff[b], fb.PMOff[b+1])
+// jointLogitsRow computes segment b's FullMask joint logits (1×(M·N)) from
+// the stacked embeddings.
+func (m *Model) jointLogitsRow(ic *InferCtx, out *waveOut, b int, mask []bool) *tensor.Tensor {
+	ar := &ic.arena
+	vmE := ar.Rows(out.vmAll, ic.vmOff[b], ic.vmOff[b+1])
+	pmE := ar.Rows(out.pmAll, ic.pmOff[b], ic.pmOff[b+1])
 	scores := ar.MatMulT(vmE, pmE)
 	flat := ar.Reshape(scores, 1, scores.Rows*scores.Cols)
 	if mask != nil {
@@ -304,22 +217,22 @@ func (m *Model) jointLogitsBatchRow(bc *BatchInferCtx, out *batchOut, b int, mas
 	return flat
 }
 
-// valueInferBatch runs the critic over every environment's pooled embeddings
-// as one B×2d GEMM, filling dst with per-environment values.
-func (m *Model) valueInferBatch(bc *BatchInferCtx, out *batchOut, dst []float64) []float64 {
-	ar := &bc.arena
-	fb := &bc.fb
-	nEnv := fb.Len()
+// valuesCol runs the critic over every segment's pooled embeddings as one
+// B×2d GEMM, filling dst with per-segment values.
+func (m *Model) valuesCol(ic *InferCtx, out *waveOut, dst []float64) []float64 {
+	ar := &ic.arena
+	pmOff, vmOff := ic.pmOff, ic.vmOff
+	nSeg := len(pmOff) - 1
 	d := out.pmAll.Cols
-	pooled := ar.Uninit(nEnv, 2*d)
-	for b := 0; b < nEnv; b++ {
-		pm := ar.MeanRows(ar.Rows(out.pmAll, fb.PMOff[b], fb.PMOff[b+1]))
-		vm := ar.MeanRows(ar.Rows(out.vmAll, fb.VMOff[b], fb.VMOff[b+1]))
+	pooled := ar.Uninit(nSeg, 2*d)
+	for b := 0; b < nSeg; b++ {
+		pm := ar.MeanRows(ar.Rows(out.pmAll, pmOff[b], pmOff[b+1]))
+		vm := ar.MeanRows(ar.Rows(out.vmAll, vmOff[b], vmOff[b+1]))
 		copy(pooled.Data[b*2*d:b*2*d+d], pm.Data)
 		copy(pooled.Data[b*2*d+d:(b+1)*2*d], vm.Data)
 	}
 	col := m.critic.Infer(ar, pooled)
-	dst = resizeFloats(dst, nEnv)
+	dst = resizeFloats(dst, nSeg)
 	copy(dst, col.Data)
 	return dst
 }
@@ -333,166 +246,64 @@ func optAt(opts []SampleOpts, b int) SampleOpts {
 	return opts[b]
 }
 
-// extractBatch refreshes the batched features for the environments' current
-// clusters.
-func (bc *BatchInferCtx) extractBatch(envs []*sim.Env) {
-	if cap(bc.clusters) < len(envs) {
-		bc.clusters = make([]*cluster.Cluster, len(envs))
-	} else {
-		bc.clusters = bc.clusters[:len(envs)]
-	}
-	for i, e := range envs {
-		bc.clusters[i] = e.Cluster()
-	}
-	bc.fb.Extract(bc.clusters)
-}
-
-// InferBatch selects one action per environment through a single batched
-// forward pass. Environment b's decision is bit-identical to what the
-// sequential Infer would pick given the same rng stream: the stacked forward
-// reproduces each per-environment forward exactly, and sampling consumes
-// each environment's rng in the same order. opts is per-environment (a
-// single element broadcasts). Environments with no migratable VM get
-// ErrNoMigratableVM in their BatchAction. acts is an optional reusable
-// result slice. Zero heap allocations at a stable batch shape.
+// InferBatch selects one action per environment through a single wave.
+// Environment b's decision is bit-identical to what Infer picks for it alone
+// given the same rng stream. opts is per-environment (a single element
+// broadcasts). Environments with no migratable VM get ErrNoMigratableVM in
+// their BatchAction. acts is an optional reusable result slice. Zero heap
+// allocations at a stable batch shape.
 //
 // InferBatch is a homogeneous WaveInfer wave; see Model.ServeWave for the
 // general mixed-kind form the serving scheduler drives.
-func (m *Model) InferBatch(bc *BatchInferCtx, envs []*sim.Env, rngs []*rand.Rand, opts []SampleOpts, acts []BatchAction) []BatchAction {
+func (m *Model) InferBatch(ic *InferCtx, envs []*sim.Env, rngs []*rand.Rand, opts []SampleOpts, acts []BatchAction) []BatchAction {
 	if cap(acts) < len(envs) {
 		acts = make([]BatchAction, len(envs))
 	} else {
 		acts = acts[:len(envs)]
 	}
-	bc.reqs = resizeReqs(bc.reqs, len(envs))
+	ic.reqs = ic.reqs[:0]
 	for i, env := range envs {
-		bc.reqs[i] = WaveReq{Kind: WaveInfer, Env: env, Rng: rngs[i], Opts: optAt(opts, i)}
+		ic.reqs = append(ic.reqs, WaveReq{Kind: WaveInfer, Env: env, Rng: rngs[i], Opts: optAt(opts, i)})
 	}
-	bc.waveRes = m.ServeWave(bc, bc.reqs, bc.waveRes)
-	for i := range envs {
-		acts[i] = BatchAction{VM: bc.waveRes[i].VM, PM: bc.waveRes[i].PM, Err: bc.waveRes[i].Err}
+	ic.waveRes = m.ServeWave(ic, ic.reqs, ic.waveRes)
+	for i, r := range ic.waveRes {
+		acts[i] = BatchAction{VM: r.VM, PM: r.PM, Err: r.Err}
 	}
 	return acts
 }
 
-// ActBatch is the training-path InferBatch: one batched forward pass, one
-// Decision per environment with the retained state snapshot, log-prob, and
-// critic value PPO stores. Per environment the decision is bit-identical to
-// Act given the same rng stream. The returned decisions own their storage
-// (state snapshots survive the context's next wave); the per-decision
-// allocations are inherent to retention.
-func (m *Model) ActBatch(bc *BatchInferCtx, envs []*sim.Env, rngs []*rand.Rand, opts []SampleOpts) []*Decision {
+// ActBatch is the training-path InferBatch: one wave, one Decision per
+// environment with the retained state snapshot, log-prob, and critic value
+// PPO stores. Per environment the decision is bit-identical to Act given the
+// same rng stream. The returned decisions own their storage (state snapshots
+// survive the context's next wave); the per-decision allocations are
+// inherent to retention.
+func (m *Model) ActBatch(ic *InferCtx, envs []*sim.Env, rngs []*rand.Rand, opts []SampleOpts) []*Decision {
 	decs := make([]*Decision, len(envs))
-	if len(envs) == 0 {
-		return decs
-	}
-	bc.reqs = resizeReqs(bc.reqs, len(envs))
+	ic.reqs = ic.reqs[:0]
 	for i, env := range envs {
-		bc.reqs[i] = WaveReq{Kind: WaveAct, Env: env, Rng: rngs[i], Opts: optAt(opts, i)}
+		ic.reqs = append(ic.reqs, WaveReq{Kind: WaveAct, Env: env, Rng: rngs[i], Opts: optAt(opts, i)})
 	}
-	bc.waveRes = m.ServeWave(bc, bc.reqs, bc.waveRes)
-	for i := range envs {
-		decs[i] = bc.waveRes[i].Dec
+	ic.waveRes = m.ServeWave(ic, ic.reqs, ic.waveRes)
+	for i, r := range ic.waveRes {
+		decs[i] = r.Dec
 	}
 	return decs
 }
 
 // ValuesBatch returns the critic value of each cluster state through one
-// batched forward pass — the expansion primitive search-based consumers
-// (MCTS value priors) use to score candidate children in a single GEMM
-// instead of one forward per child. dst is an optional reusable slice.
-func (m *Model) ValuesBatch(bc *BatchInferCtx, cs []*cluster.Cluster, dst []float64) []float64 {
-	if len(cs) == 0 {
-		return dst[:0]
+// wave — the expansion primitive search-based consumers (MCTS value priors)
+// use to score candidate children in a single GEMM instead of one forward
+// per child. dst is an optional reusable slice.
+func (m *Model) ValuesBatch(ic *InferCtx, cs []*cluster.Cluster, dst []float64) []float64 {
+	ic.reqs = ic.reqs[:0]
+	for _, c := range cs {
+		ic.reqs = append(ic.reqs, WaveReq{Kind: WaveValue, State: c})
 	}
-	bc.reqs = resizeReqs(bc.reqs, len(cs))
-	for i, c := range cs {
-		bc.reqs[i] = WaveReq{Kind: WaveValue, State: c}
-	}
-	bc.waveRes = m.ServeWave(bc, bc.reqs, bc.waveRes)
+	ic.waveRes = m.ServeWave(ic, ic.reqs, ic.waveRes)
 	dst = resizeFloats(dst, len(cs))
-	for i := range cs {
-		dst[i] = bc.waveRes[i].Value
+	for i, r := range ic.waveRes {
+		dst[i] = r.Value
 	}
 	return dst
-}
-
-// RolloutBatch rolls every environment to completion in lock-step waves: one
-// batched forward per wave selects an action for every still-running
-// environment, then each environment steps. Environments drop out of the
-// wave as they finish (ragged tail), so the batch narrows rather than
-// padding. Stops early when ctx expires — every environment keeps its
-// best-so-far plan, matching the sequential Agent contract. opts and rngs
-// are per-environment (a single-element opts broadcasts). earlyStop mirrors
-// Agent.EarlyStop. Returns the first step error encountered (other
-// environments still finish).
-func (m *Model) RolloutBatch(ctx context.Context, bc *BatchInferCtx, envs []*sim.Env, rngs []*rand.Rand, opts []SampleOpts, earlyStop bool) error {
-	bc.active = bc.active[:0]
-	for i, env := range envs {
-		if !env.Done() {
-			bc.active = append(bc.active, i)
-		}
-	}
-	var firstErr error
-	for len(bc.active) > 0 && ctx.Err() == nil {
-		bc.waveEnvs = bc.waveEnvs[:0]
-		bc.waveRngs = bc.waveRngs[:0]
-		bc.waveOpts = bc.waveOpts[:0]
-		for _, i := range bc.active {
-			bc.waveEnvs = append(bc.waveEnvs, envs[i])
-			bc.waveRngs = append(bc.waveRngs, rngs[i])
-			bc.waveOpts = append(bc.waveOpts, optAt(opts, i))
-		}
-		bc.acts = m.InferBatch(bc, bc.waveEnvs, bc.waveRngs, bc.waveOpts, bc.acts)
-		n := 0
-		for k, i := range bc.active {
-			env := envs[i]
-			act := bc.acts[k]
-			if act.Err != nil {
-				continue // no migratable VM: episode effectively over
-			}
-			if m.Cfg.Action == Penalty {
-				if _, _, err := env.PenaltyStep(act.VM, act.PM, -5); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-			} else {
-				if earlyStop {
-					if g, ok := sim.MoveGain(env.Cluster(), env.Objective(), act.VM, act.PM); ok && g < 0 {
-						continue
-					}
-				}
-				if _, _, err := env.Step(act.VM, act.PM); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-			}
-			if !env.Done() {
-				bc.active[n] = i
-				n++
-			}
-		}
-		bc.active = bc.active[:n]
-	}
-	return firstErr
-}
-
-// resizeInts returns dst with length n, reallocating only when needed.
-func resizeInts(dst []int, n int) []int {
-	if cap(dst) < n {
-		return make([]int, n)
-	}
-	return dst[:n]
-}
-
-// resizeReqs returns dst with length n, reallocating only when needed.
-func resizeReqs(dst []WaveReq, n int) []WaveReq {
-	if cap(dst) < n {
-		return make([]WaveReq, n)
-	}
-	return dst[:n]
 }

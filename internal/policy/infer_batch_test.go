@@ -2,13 +2,13 @@ package policy
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"vmr2l/internal/cluster"
 	"vmr2l/internal/sim"
-	"vmr2l/internal/tensor"
 )
 
 // batchTestEnv builds a small random environment; nVM varies so batches are
@@ -32,75 +32,39 @@ func batchTestEnv(t *testing.T, seed int64, nPM, nVM, mnl int) *sim.Env {
 	return sim.New(c, sim.DefaultConfig(mnl))
 }
 
-// bitEqual asserts two tensors match exactly (same bits, not a tolerance):
-// the batched forward must reproduce the sequential float ops, not
-// approximate them.
-func bitEqual(t *testing.T, name string, want, got *tensor.Tensor) {
-	t.Helper()
-	if want.Rows != got.Rows || want.Cols != got.Cols {
-		t.Fatalf("%s: shape %dx%d vs %dx%d", name, want.Rows, want.Cols, got.Rows, got.Cols)
-	}
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("%s: element %d: %v != %v", name, i, want.Data[i], got.Data[i])
-		}
-	}
-}
-
-// TestForwardBatchBitIdentical pins the core contract: every environment's
-// segment of the stacked batched forward is bit-identical to its own
-// sequential forwardInfer, for every extractor mode and ragged batch sizes.
-func TestForwardBatchBitIdentical(t *testing.T) {
+// forwardRowIndependence asserts every environment's segment of a ragged wave
+// — embeddings, attention, every head — has the Float64bits it has in a wave
+// of one, for every extractor mode.
+func forwardRowIndependence(t *testing.T, int8 bool) {
 	for _, ex := range []ExtractorMode{SparseAttention, VanillaAttention, NoAttention} {
 		cfg := Config{DModel: 16, Hidden: 24, Blocks: 2, Heads: 2, Extractor: ex, Seed: 11}
 		if ex == NoAttention {
 			cfg.Heads = 1
 		}
 		m := New(cfg)
-		for _, B := range []int{1, 3, 8} {
-			envs := make([]*sim.Env, B)
+		if int8 && m.Quantize() == 0 {
+			t.Fatal("Quantize converted no layers")
+		}
+		for _, B := range []int{3, 8} {
+			envs := raggedEnvs(t, int64(100*B), B)
+			ic := NewInferCtx()
+			inWave := waveSegs(m, ic, waveForward(m, ic, envs), envs)
 			for b := range envs {
-				envs[b] = batchTestEnv(t, int64(100*B+b), 3+b%3, 8+3*b, 6)
-			}
-			bc := NewBatchInferCtx()
-			bc.arena.Reset()
-			bc.extractBatch(envs)
-			out := m.forwardInferBatch(bc)
-			bc.values = m.valueInferBatch(bc, out, bc.values)
-			vmCol := m.vmLogitsBatch(bc, out)
-
-			for b, env := range envs {
-				ic := NewInferCtx()
-				ic.arena.Reset()
-				feat := sim.Extract(env.Cluster())
-				seq := m.forwardInfer(ic, feat)
-
-				pmSeg := tensor.New(seq.pmE.Rows, seq.pmE.Cols)
-				copy(pmSeg.Data, out.pmAll.Data[bc.fb.PMOff[b]*16:bc.fb.PMOff[b+1]*16])
-				bitEqual(t, "pmE", seq.pmE, pmSeg)
-				vmSeg := tensor.New(seq.vmE.Rows, seq.vmE.Cols)
-				copy(vmSeg.Data, out.vmAll.Data[bc.fb.VMOff[b]*16:bc.fb.VMOff[b+1]*16])
-				bitEqual(t, "vmE", seq.vmE, vmSeg)
-				if seq.crossProbs != nil {
-					bitEqual(t, "crossProbs", seq.crossProbs, out.crossProbs[b])
-				} else if out.crossProbs != nil {
-					t.Fatalf("%v: batched crossProbs non-nil for NoAttention", ex)
-				}
-				if sv := m.valueInfer(ic, seq); sv != bc.values[b] {
-					t.Fatalf("%v env %d value: %v != %v", ex, b, sv, bc.values[b])
-				}
-				mask := env.VMMask()
-				bitEqual(t, "vmLogits", m.vmLogitsInfer(ic, seq, mask), m.vmLogitsRow(bc, vmCol, b, mask))
+				alone := waveSegs(m, ic, waveForward(m, ic, envs[b:b+1]), envs[b:b+1])
+				compareSegs(t, fmt.Sprintf("%v B=%d env %d", ex, B, b), alone[0], inWave[b], 0)
 			}
 		}
 	}
 }
 
-// TestInferBatchMatchesSequential is the end-to-end property test: whole
+// TestForwardBatchBitIdentical pins row independence at the float forward.
+func TestForwardBatchBitIdentical(t *testing.T) { forwardRowIndependence(t, false) }
+
+// TestInferBatchMatchesSequential pins row independence at the sampler: whole
 // lock-step episodes across all three action modes, batch sizes 1/3/8,
 // sampled (non-greedy) actions with thresholding, environments finishing at
-// different times (ragged last waves). Every wave's batched decisions must
-// equal what the sequential Infer picks with the same rng streams.
+// different times (ragged last waves). Every row's decision in the wave must
+// equal what it gets alone (Infer, a wave of one) with the same rng stream.
 func TestInferBatchMatchesSequential(t *testing.T) {
 	for _, mode := range []ActionMode{TwoStage, Penalty, FullMask} {
 		m := New(Config{DModel: 16, Hidden: 24, Blocks: 2, Heads: 2, Action: mode, Seed: 5})
@@ -158,7 +122,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 							mode, B, wave, b, acts[k], seqActs[k])
 					}
 					if acts[k].Err != nil {
-						// Mark the episode over the way RolloutBatch does.
+						// Mark the episode over the way Rollout does.
 						continue
 					}
 					env := envs[b]
@@ -182,8 +146,9 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestActBatchMatchesAct pins the training path: ActBatch decisions (action,
-// log-prob, value, masks) equal sequential Act with the same rng streams.
+// TestActBatchMatchesAct pins the training path: a row's decision (action,
+// log-prob, value) in a multi-row WaveAct wave equals Act — a wave of one —
+// with the same rng stream.
 func TestActBatchMatchesAct(t *testing.T) {
 	for _, mode := range []ActionMode{TwoStage, Penalty, FullMask} {
 		m := New(Config{DModel: 16, Hidden: 24, Blocks: 1, Heads: 1, Action: mode, Seed: 9})
@@ -227,8 +192,9 @@ func TestActBatchMatchesAct(t *testing.T) {
 	}
 }
 
-// TestRolloutBatchMatchesAgentSolve pins Agent.SolveBatch against per-env
-// sequential Agent.Solve with the derived seeds.
+// TestRolloutBatchMatchesAgentSolve pins the rollout loop's row independence
+// and seed derivation: Agent.SolveBatch of five equals five Agent.Solve calls
+// (batches of one) with the derived seeds.
 func TestRolloutBatchMatchesAgentSolve(t *testing.T) {
 	m := New(Config{DModel: 16, Hidden: 24, Blocks: 1, Seed: 13})
 	B := 5
@@ -322,8 +288,9 @@ func TestInferBatchSteadyStateAllocs(t *testing.T) {
 		opts[b] = SampleOpts{Greedy: true}
 	}
 	bc := NewBatchInferCtx()
+	var acts []BatchAction
 	run := func() {
-		bc.acts = m.InferBatch(bc, envs, rngs, opts, bc.acts)
+		acts = m.InferBatch(bc, envs, rngs, opts, acts)
 	}
 	run() // warm buffers
 	run()
@@ -332,22 +299,18 @@ func TestInferBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestValuesBatchMatchesSequential checks the MCTS expansion primitive
-// against per-state sequential critic values.
+// TestValuesBatchMatchesSequential checks the MCTS expansion primitive: a
+// state's critic value in a wave of five equals its value alone.
 func TestValuesBatchMatchesSequential(t *testing.T) {
 	m := New(Config{DModel: 16, Hidden: 24, Blocks: 1, Seed: 17})
 	var cs []*cluster.Cluster
 	for b := 0; b < 5; b++ {
 		cs = append(cs, batchTestEnv(t, int64(b), 3+b%2, 7+b, 4).Cluster())
 	}
-	bc := NewBatchInferCtx()
-	got := m.ValuesBatch(bc, cs, nil)
 	ic := NewInferCtx()
-	for b, c := range cs {
-		ic.arena.Reset()
-		feat := sim.Extract(c)
-		out := m.forwardInfer(ic, feat)
-		if want := m.valueInfer(ic, out); want != got[b] {
+	got := m.ValuesBatch(ic, cs, nil)
+	for b := range cs {
+		if want := m.ValuesBatch(ic, cs[b:b+1], nil)[0]; want != got[b] {
 			t.Fatalf("state %d: value %v != %v", b, got[b], want)
 		}
 	}

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,52 +30,136 @@ func inferTestEnv(t *testing.T, seed int64) *sim.Env {
 	return sim.New(c, sim.DefaultConfig(8))
 }
 
-// TestInferMatchesGraphForward asserts the arena fast path reproduces the
-// autograd forward bit-for-bit (same float ops, no graph) for every
-// extractor variant: embeddings, both actor heads, the critic, and the
-// joint logits.
+// segOut is everything downstream consumers read from one segment of a
+// forward: embeddings, stage-3 attention, both actor heads (VM 0 selected for
+// stage 2), the joint logits and the critic value, as detached copies.
+type segOut struct {
+	pmE, vmE, cross, vmLogits, pmLogits, joint *tensor.Tensor
+	value                                      float64
+}
+
+// specSeg evaluates the autograd forward — the specification — on env.
+func specSeg(m *Model, env *sim.Env) segOut {
+	o := m.forward(nil, sim.Extract(env.Cluster()))
+	return segOut{o.pmE, o.vmE, o.crossProbs, m.vmLogits(o, env.VMMask()),
+		m.pmLogits(o, 0, env.PMMask(0)), m.jointLogits(o, nil), m.value(o).Scalar()}
+}
+
+// waveForward runs the full-recompute front end and the wave forward for envs
+// on ic, stopping short of the heads.
+func waveForward(m *Model, ic *InferCtx, envs []*sim.Env) *waveOut {
+	reqs := make([]WaveReq, len(envs))
+	for b, env := range envs {
+		reqs[b] = WaveReq{Env: env}
+	}
+	ic.arena.Reset()
+	ic.extractWave(reqs)
+	return m.forwardWave(ic)
+}
+
+// waveSegs reads every head of a wave output on ic (from either front end),
+// one segOut per environment.
+func waveSegs(m *Model, ic *InferCtx, out *waveOut, envs []*sim.Env) []segOut {
+	ar := &ic.arena
+	vals := m.valuesCol(ic, out, nil)
+	vmCol := m.vmLogitsCol(ic, out)
+	pmCol := m.pmLogitsCol(ic, out, make([]int, len(envs))) // VM 0 everywhere
+	segs := make([]segOut, len(envs))
+	for b, env := range envs {
+		pmLo, pmHi, vmLo, vmHi := ic.pmOff[b], ic.pmOff[b+1], ic.vmOff[b], ic.vmOff[b+1]
+		s := segOut{
+			pmE:      ar.Rows(out.pmAll, pmLo, pmHi).Clone(),
+			vmE:      ar.Rows(out.vmAll, vmLo, vmHi).Clone(),
+			vmLogits: logitsRow(ar, vmCol, vmLo, vmHi, env.VMMask()).Clone(),
+			pmLogits: logitsRow(ar, pmCol, pmLo, pmHi, env.PMMask(0)).Clone(),
+			joint:    m.jointLogitsRow(ic, out, b, nil).Clone(),
+			value:    vals[b],
+		}
+		if out.crossProbs != nil {
+			s.cross = out.crossProbs[b].Clone()
+		}
+		segs[b] = s
+	}
+	return segs
+}
+
+// compareSegs asserts got matches want within tol; tol 0 demands identical
+// Float64bits.
+func compareSegs(t *testing.T, name string, want, got segOut, tol float64) {
+	t.Helper()
+	differ := func(a, b float64) bool {
+		if tol == 0 {
+			return math.Float64bits(a) != math.Float64bits(b)
+		}
+		return math.Abs(a-b) > tol
+	}
+	check := func(part string, a, b *tensor.Tensor) {
+		t.Helper()
+		if a == nil || b == nil {
+			if a != b {
+				t.Fatalf("%s %s: nil mismatch", name, part)
+			}
+			return
+		}
+		if a.Rows != b.Rows || a.Cols != b.Cols {
+			t.Fatalf("%s %s: shape %dx%d vs %dx%d", name, part, a.Rows, a.Cols, b.Rows, b.Cols)
+		}
+		for i := range a.Data {
+			if differ(a.Data[i], b.Data[i]) {
+				t.Fatalf("%s %s: element %d: %v vs %v", name, part, i, a.Data[i], b.Data[i])
+			}
+		}
+	}
+	check("pmE", want.pmE, got.pmE)
+	check("vmE", want.vmE, got.vmE)
+	check("crossProbs", want.cross, got.cross)
+	check("vmLogits", want.vmLogits, got.vmLogits)
+	check("pmLogits", want.pmLogits, got.pmLogits)
+	check("jointLogits", want.joint, got.joint)
+	if differ(want.value, got.value) {
+		t.Fatalf("%s value: %v vs %v", name, want.value, got.value)
+	}
+}
+
+// raggedEnvs builds B environments of different shapes.
+func raggedEnvs(t *testing.T, seed int64, B int) []*sim.Env {
+	envs := make([]*sim.Env, B)
+	for b := range envs {
+		envs[b] = batchTestEnv(t, seed+int64(b), 3+b%3, 8+3*b, 6)
+	}
+	return envs
+}
+
+// TestInferMatchesGraphForward is the derivation check: the wave forward and
+// every head reproduce the autograd forward (same float ops, no graph) for
+// every extractor × action mode × wave size, ragged waves included, and the
+// sampler's retained decision agrees with the specification's Evaluate.
 func TestInferMatchesGraphForward(t *testing.T) {
-	env := inferTestEnv(t, 3)
-	feat := sim.Extract(env.Cluster())
 	for _, ex := range []ExtractorMode{SparseAttention, VanillaAttention, NoAttention} {
-		cfg := Config{DModel: 16, Hidden: 24, Blocks: 2, Heads: 2, Extractor: ex, Seed: 11}
-		if ex == NoAttention {
-			cfg.Heads = 1
-		}
-		m := New(cfg)
-		slow := m.forward(feat)
-		ic := NewInferCtx()
-		ic.arena.Reset()
-		fast := m.forwardInfer(ic, feat)
-
-		check := func(name string, a, b *tensor.Tensor) {
-			t.Helper()
-			if a == nil || b == nil {
-				if a != b {
-					t.Fatalf("%v %s: nil mismatch", ex, name)
+		for _, mode := range []ActionMode{TwoStage, Penalty, FullMask} {
+			cfg := Config{DModel: 16, Hidden: 24, Blocks: 2, Heads: 2, Extractor: ex, Action: mode, Seed: 11}
+			if ex == NoAttention {
+				cfg.Heads = 1
+			}
+			m := New(cfg)
+			for _, B := range []int{1, 3, 8} {
+				name := fmt.Sprintf("%v/%v/B=%d", ex, mode, B)
+				envs := raggedEnvs(t, int64(100*B), B)
+				ic := NewInferCtx()
+				segs := waveSegs(m, ic, waveForward(m, ic, envs), envs)
+				rngs := make([]*rand.Rand, B)
+				for b, env := range envs {
+					compareSegs(t, name, specSeg(m, env), segs[b], 1e-12)
+					rngs[b] = rand.New(rand.NewSource(int64(b)))
 				}
-				return
-			}
-			if a.Rows != b.Rows || a.Cols != b.Cols {
-				t.Fatalf("%v %s: shape %dx%d vs %dx%d", ex, name, a.Rows, a.Cols, b.Rows, b.Cols)
-			}
-			for i := range a.Data {
-				if math.Abs(a.Data[i]-b.Data[i]) > 1e-12 {
-					t.Fatalf("%v %s: element %d: %g vs %g", ex, name, i, a.Data[i], b.Data[i])
+				for b, dec := range m.ActBatch(ic, envs, rngs, []SampleOpts{{}}) {
+					ev := m.Evaluate(nil, dec.State)
+					if math.Abs(ev.LogProb.Scalar()-dec.LogProb) > 1e-9 || math.Abs(ev.Value.Scalar()-dec.Value) > 1e-9 {
+						t.Fatalf("%s env %d: decision logp/value %v/%v, Evaluate %v/%v", name, b,
+							dec.LogProb, dec.Value, ev.LogProb.Scalar(), ev.Value.Scalar())
+					}
 				}
 			}
-		}
-		check("pmE", slow.pmE, fast.pmE)
-		check("vmE", slow.vmE, fast.vmE)
-		check("crossProbs", slow.crossProbs, fast.crossProbs)
-
-		vmMask := env.VMMask()
-		check("vmLogits", m.vmLogits(slow, vmMask), m.vmLogitsInfer(ic, fast, vmMask))
-		pmMask := env.PMMask(0)
-		check("pmLogits", m.pmLogits(slow, 0, pmMask), m.pmLogitsInfer(ic, fast, 0, pmMask))
-		check("jointLogits", m.jointLogits(slow, nil), m.jointLogitsInfer(ic, fast, nil))
-		if sv, fv := m.value(slow).Scalar(), m.valueInfer(ic, fast); math.Abs(sv-fv) > 1e-12 {
-			t.Fatalf("%v value: %g vs %g", ex, sv, fv)
 		}
 	}
 }

@@ -6,13 +6,17 @@
 // and the NeuPlan-style hybrid — are configuration switches so every learned
 // baseline shares one training stack.
 //
-// Sequential rollouts can opt into incremental inference
-// (InferCtx.SetIncremental): the context then caches every forward
-// activation across Infer calls and recomputes only the rows reached by the
-// cluster's dirty journal, bit-identically to a full forward. See incr.go
-// for the cache-invalidation contract — generation-token keys, the
-// global-normalizer fallback, and the sharing rules (one context per
-// goroutine, one live incremental context per cluster).
+// There are three forwards and no more. Model.forward is the autograd
+// graph PPO differentiates, and the executable specification of the network.
+// Model.ServeWave is the one graph-free implementation derived from it: a
+// segmented arena forward over any number of environments, with one set of
+// heads and one sampler; Infer, Act and Probabilities are waves of one. The
+// step cache (InferCtx.SetIncremental, incr.go) is a front end to that same
+// wave: it keeps one environment's embeddings across Infer calls, patches
+// the rows the cluster's dirty journal names, and hands them to the wave's
+// block loop, heads and sampler as a one-segment wave — bit-identical to a
+// full recompute. Property tests compare the wave and the step cache to the
+// specification, not to each other.
 package policy
 
 import (
@@ -171,91 +175,96 @@ type forwardOut struct {
 	crossProbs *tensor.Tensor
 }
 
-// groupBuf builds the tree partition of the stacked [PMs; VMs] rows: one
-// group per PM (the PM row plus its hosted VM rows, ascending) and a
-// singleton group per unplaced VM. A long-lived groupBuf (InferCtx) reuses
-// its buffers across builds; holders of a previous build's result must not
-// reuse the same groupBuf until that result is dead.
+// groupBuf builds the tree partition of a wave's interleaved
+// [PM_0; VM_0; PM_1; VM_1; …] row space: per segment, one group per PM (the
+// PM row plus its hosted VM rows, ascending) and a singleton group per
+// unplaced VM, shifted by the segment's row base. Feeding the concatenation
+// to one GroupedAttention call computes every segment's tree attention
+// block-diagonally in a single pass. A long-lived groupBuf (InferCtx)
+// reuses its buffers across builds; holders of a previous build's result
+// must not reuse the same groupBuf until that result is dead.
 type groupBuf struct {
 	groups [][]int
 	flat   []int
 	counts []int
 }
 
-// build fills the partition for the given hosting relation. The returned
-// slice is valid until the next build.
-func (gb *groupBuf) build(host []int, numPM int) [][]int {
-	n := numPM + len(host)
-	if cap(gb.flat) < n {
-		gb.flat = make([]int, n)
+// build fills the partition for the given segments. The returned slice is
+// valid until the next build.
+func (gb *groupBuf) build(feats []*sim.Features) [][]int {
+	totRows := 0
+	for _, f := range feats {
+		totRows += len(f.PM) + len(f.HostPM)
+	}
+	if cap(gb.flat) < totRows {
+		gb.flat = make([]int, totRows)
 	} else {
-		gb.flat = gb.flat[:n]
+		gb.flat = gb.flat[:totRows]
 	}
-	if cap(gb.counts) < numPM {
-		gb.counts = make([]int, numPM)
-	} else {
-		gb.counts = gb.counts[:numPM]
-	}
-	singles := 0
-	for t := 0; t < numPM; t++ {
-		gb.counts[t] = 1 // the PM row itself
-	}
-	for _, h := range host {
-		if h >= 0 {
-			gb.counts[h]++
-		} else {
-			singles++
-		}
-	}
-	nGroups := numPM + singles
-	if cap(gb.groups) < nGroups {
-		gb.groups = make([][]int, nGroups)
-	} else {
-		gb.groups = gb.groups[:nGroups]
-	}
-	// Lay the PM trees out back to back in flat; counts[t] becomes the write
-	// cursor for tree t. Rows stay ascending within each group (PM index
-	// first, hosted VMs in VM order).
+	gb.groups = gb.groups[:0]
 	off := 0
-	for t := 0; t < numPM; t++ {
-		size := gb.counts[t]
-		gb.groups[t] = gb.flat[off : off+size : off+size]
-		gb.flat[off] = t
-		gb.counts[t] = off + 1
-		off += size
-	}
-	for v, h := range host {
-		if h >= 0 {
-			gb.flat[gb.counts[h]] = numPM + v
-			gb.counts[h]++
+	for _, f := range feats {
+		host := f.HostPM
+		nPM := len(f.PM)
+		base := off
+		if cap(gb.counts) < nPM {
+			gb.counts = make([]int, nPM)
+		} else {
+			gb.counts = gb.counts[:nPM]
 		}
-	}
-	// Singleton groups for unplaced VMs.
-	si := numPM
-	for v, h := range host {
-		if h < 0 {
-			gb.flat[off] = numPM + v
-			gb.groups[si] = gb.flat[off : off+1 : off+1]
-			si++
-			off++
+		for t := 0; t < nPM; t++ {
+			gb.counts[t] = 1 // the PM row itself
+		}
+		for _, h := range host {
+			if h >= 0 {
+				gb.counts[h]++
+			}
+		}
+		// Trees back to back; counts[t] becomes tree t's write cursor. Rows
+		// stay ascending within each group (PM index first, hosted VMs in VM
+		// order).
+		for t := 0; t < nPM; t++ {
+			size := gb.counts[t]
+			gb.groups = append(gb.groups, gb.flat[off:off+size:off+size])
+			gb.flat[off] = base + t
+			gb.counts[t] = off + 1
+			off += size
+		}
+		for v, h := range host {
+			if h >= 0 {
+				gb.flat[gb.counts[h]] = base + nPM + v
+				gb.counts[h]++
+			}
+		}
+		// Singleton groups for unplaced VMs.
+		for v, h := range host {
+			if h < 0 {
+				gb.flat[off] = base + nPM + v
+				gb.groups = append(gb.groups, gb.flat[off:off+1:off+1])
+				off++
+			}
 		}
 	}
 	return gb.groups
 }
 
-// forward runs the feature extractor on one state.
-func (m *Model) forward(f *sim.Features) *forwardOut {
-	pmE := m.pmEmbed.Forward(tensor.FromRows(f.PM))
-	vmE := m.vmEmbed.Forward(tensor.FromRows(f.VM))
+// forward runs the feature extractor on one state, building the autograd
+// graph: the specification the wave forward is derived from. The graph's
+// storage belongs to pool (nil = heap).
+func (m *Model) forward(pool *tensor.GraphPool, f *sim.Features) *forwardOut {
+	pmE := m.pmEmbed.Forward(pool.FromRows(f.PM))
+	vmE := m.vmEmbed.Forward(pool.FromRows(f.VM))
 	out := &forwardOut{}
 	numPM := len(f.PM)
 	// The groupBuf must be freshly allocated here: GroupedAttention's
 	// backward closure retains the groups until loss.Backward(), long after
 	// this forward returns, so a pooled/reused buffer would be clobbered by
-	// the next transition's forward. (The inference paths reuse their
-	// InferCtx buffer safely — arena ops never retain groups.)
-	var gb groupBuf
-	groups := m.treeGroups(&gb, f)
+	// the next transition's forward. (The wave forward reuses its InferCtx
+	// buffer safely — arena ops never retain groups.)
+	var groups [][]int
+	if m.Cfg.Extractor == SparseAttention {
+		groups = new(groupBuf).build([]*sim.Features{f})
+	}
 	for _, blk := range m.blocks {
 		if blk.tree != nil {
 			// Stage 1: tree-local attention over stacked [PM; VM] rows,
@@ -285,17 +294,6 @@ func (m *Model) forward(f *sim.Features) *forwardOut {
 	return out
 }
 
-// treeGroups builds the tree partition of the stacked [PM; VM] rows when the
-// extractor has a tree stage, and returns nil otherwise. It is the single
-// group-building entry shared by forward, forwardInfer and the incremental
-// path, so the partition definition cannot drift between them.
-func (m *Model) treeGroups(gb *groupBuf, f *sim.Features) [][]int {
-	if m.Cfg.Extractor != SparseAttention {
-		return nil
-	}
-	return gb.build(f.HostPM, len(f.PM))
-}
-
 func seq(lo, hi int) []int {
 	s := make([]int, hi-lo)
 	for i := range s {
@@ -320,8 +318,10 @@ func (m *Model) vmLogits(out *forwardOut, mask []bool) *tensor.Tensor {
 func (m *Model) pmLogits(out *forwardOut, vm int, mask []bool) *tensor.Tensor {
 	n := out.pmE.Rows
 	sel := tensor.GatherRows(out.vmE, []int{vm}) // 1×d
-	// Broadcast the selected embedding to every PM row.
-	ones := tensor.New(n, 1)
+	// Broadcast the selected embedding to every PM row. The constants join
+	// the graph's pool: they have no parent to inherit it from.
+	pool := out.pmE.Pool()
+	ones := pool.New(n, 1)
 	for i := range ones.Data {
 		ones.Data[i] = 1
 	}
@@ -330,7 +330,7 @@ func (m *Model) pmLogits(out *forwardOut, vm int, mask []bool) *tensor.Tensor {
 	if out.crossProbs != nil {
 		score = transpose(tensor.GatherRows(out.crossProbs, []int{vm})) // N×1
 	} else {
-		score = tensor.New(n, 1)
+		score = pool.New(n, 1)
 	}
 	merged := tensor.ConcatCols(tensor.ConcatCols(out.pmE, selB), score) // N×(2d+1)
 	logits := m.pmMerge.Forward(merged)                                  // N×1

@@ -83,7 +83,7 @@ func TestAllExtractorAndActionModesForward(t *testing.T) {
 			if err != nil {
 				t.Fatalf("extractor %d action %d: %v", ex, ac, err)
 			}
-			ev := m.Evaluate(dec.State)
+			ev := m.Evaluate(nil, dec.State)
 			if math.IsNaN(ev.LogProb.Scalar()) || math.IsNaN(ev.Value.Scalar()) || math.IsNaN(ev.Entropy.Scalar()) {
 				t.Fatalf("extractor %d action %d: NaN in evaluation", ex, ac)
 			}
@@ -105,7 +105,7 @@ func TestEvaluateMatchesActLogProb(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := m.Evaluate(dec.State)
+		ev := m.Evaluate(nil, dec.State)
 		if math.Abs(ev.LogProb.Scalar()-dec.LogProb) > 1e-9 {
 			t.Fatalf("action mode %d: Evaluate logp %v != Act logp %v", ac, ev.LogProb.Scalar(), dec.LogProb)
 		}
@@ -141,8 +141,11 @@ func TestGreedyIsDeterministic(t *testing.T) {
 func TestTreeGroups(t *testing.T) {
 	// 2 PMs; VM0 on PM0, VM1 on PM1, VM2 on PM0, VM3 unplaced.
 	host := []int{0, 1, 0, -1}
+	seg := func(host []int, nPM int) *sim.Features {
+		return &sim.Features{PM: make([][]float64, nPM), HostPM: host}
+	}
 	var gb groupBuf
-	groups := gb.build(host, 2)
+	groups := gb.build([]*sim.Features{seg(host, 2)})
 	// Stacked row ids: PM0=0, PM1=1, VM0=2, VM1=3, VM2=4, VM3=5.
 	want := [][]int{{0, 2, 4}, {1, 3}, {5}}
 	if len(groups) != len(want) {
@@ -171,10 +174,11 @@ func TestTreeGroups(t *testing.T) {
 	if len(seen) != 2+len(host) {
 		t.Fatalf("partition covers %d of %d rows", len(seen), 2+len(host))
 	}
-	// Rebuild with different shape reuses buffers without corruption.
-	// Stacked row ids: PM0=0, PM1=1, PM2=2, VM0=3, VM1=4, VM2=5.
-	groups = gb.build([]int{1, -1, 1}, 3)
-	want = [][]int{{0}, {1, 3, 5}, {2}, {4}}
+	// Rebuild with a different shape reuses buffers without corruption, and
+	// a second segment's groups are shifted by the first's 6 rows.
+	// Stacked row ids: PM0=0, PM1=1, PM2=2, VM0=3, VM1=4, VM2=5 | PM0=6, VM0=7.
+	groups = gb.build([]*sim.Features{seg([]int{1, -1, 1}, 3), seg([]int{0}, 1)})
+	want = [][]int{{0}, {1, 3, 5}, {2}, {4}, {6, 7}}
 	if len(groups) != len(want) {
 		t.Fatalf("rebuild: got %v, want %v", groups, want)
 	}
@@ -277,7 +281,7 @@ func TestModelCheckpointRoundTripPreservesPolicy(t *testing.T) {
 	cfg := testConfig(SparseAttention, TwoStage)
 	m1 := New(cfg)
 	var buf bytes.Buffer
-	if err := m1.Params.Save(&buf); err != nil {
+	if err := m1.Params.SaveCKPT(&buf, "f64"); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 999 // different init, then overwritten by checkpoint
@@ -340,7 +344,7 @@ func TestMultiHeadPolicyForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := m.Evaluate(dec.State)
+	ev := m.Evaluate(nil, dec.State)
 	if math.Abs(ev.LogProb.Scalar()-dec.LogProb) > 1e-9 {
 		t.Fatal("multi-head Evaluate mismatch")
 	}

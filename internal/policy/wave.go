@@ -7,33 +7,32 @@ import (
 	"vmr2l/internal/sim"
 )
 
-// Wave lifecycle. A *wave* is one stacked forward pass serving many
+// Wave lifecycle. A *wave* is one stacked forward pass serving one or many
 // independent inference requests: every request contributes its environment's
 // PM/VM feature rows to the batch, the forward runs once, and each request's
 // result is read back from its own row segment. Because every kernel computes
 // each output row independently of how many other rows share the call, a
-// request's result is bit-identical to what the standalone Infer / Act /
-// critic-value path would produce — regardless of which other requests happen
-// to share the wave. That independence is what makes continuous batching
-// (internal/serve) correct: a server-side scheduler can coalesce rows from
-// unrelated jobs into one wave and hand every caller exactly the answer it
-// would have computed alone.
+// request's result has the same bits in a wave of one and in any larger wave
+// — regardless of which other requests happen to share it. That independence
+// is what makes continuous batching (internal/serve) correct: a server-side
+// scheduler can coalesce rows from unrelated jobs into one wave and hand
+// every caller exactly the answer it would have computed alone.
 //
-// ServeWave is the single wave implementation; InferBatch, ActBatch and
-// ValuesBatch are thin typed wrappers that build homogeneous waves. The
-// serving scheduler builds heterogeneous ones: session rollouts (WaveInfer),
-// training-style decisions (WaveAct), and MCTS critic priors (WaveValue) all
-// ride the same GEMMs.
+// ServeWave is the single inference implementation; Infer, Act, InferBatch,
+// ActBatch and ValuesBatch are thin typed wrappers that build homogeneous
+// waves (of one, or of many). The serving scheduler builds heterogeneous
+// ones: session rollouts (WaveInfer), training-style decisions (WaveAct),
+// and MCTS critic priors (WaveValue) all ride the same GEMMs.
 
 // WaveKind selects what a wave row computes.
 type WaveKind uint8
 
 const (
 	// WaveInfer selects one action on the request's environment — the
-	// serving path (Model.Infer semantics).
+	// serving path, allocation-free.
 	WaveInfer WaveKind = iota
-	// WaveAct selects one action and retains the PPO decision record —
-	// state snapshot, log-prob, critic value (Model.Act semantics).
+	// WaveAct selects the same action and retains the PPO decision record
+	// — state snapshot, masks, log-prob, critic value.
 	WaveAct
 	// WaveValue scores the request's cluster state with the critic head
 	// (MCTS value-prior semantics). Env is ignored; State is used.
@@ -79,26 +78,26 @@ func hasKind(reqs []WaveReq, k WaveKind) bool {
 	return false
 }
 
-// resizeProbSlices returns dst with length n, preserving already-allocated
-// row buffers so steady-state waves reuse them.
-func resizeProbSlices(dst [][]float64, n int) [][]float64 {
-	if cap(dst) < n {
-		grown := make([][]float64, n)
-		copy(grown, dst[:cap(dst)])
-		return grown
-	}
-	return dst[:n]
-}
-
 // ServeWave runs one mixed-kind wave: every request's feature rows stack into
-// a single batched forward pass, then each row's result is computed from its
-// own segment. Per request the result is bit-identical to the standalone
-// path of its kind (Infer / Act / critic value) given the same rng stream —
-// the property the batched-inference tests pin — so rows from unrelated
+// a single forward pass, then each row's result is computed from its own
+// segment. A request's result does not depend on what else shares the wave —
+// the row-independence property tests pin that — so rows from unrelated
 // callers can share a wave safely. res is an optional reusable result slice.
 // Rows of kind WaveInfer keep the wave allocation-free at a stable shape;
-// WaveAct rows allocate their retained decision records, as Act does.
-func (m *Model) ServeWave(bc *BatchInferCtx, reqs []WaveReq, res []WaveRes) []WaveRes {
+// WaveAct rows allocate their retained decision records.
+func (m *Model) ServeWave(ic *InferCtx, reqs []WaveReq, res []WaveRes) []WaveRes {
+	if len(reqs) == 0 {
+		return res[:0]
+	}
+	ic.arena.Reset()
+	ic.extractWave(reqs)
+	return m.decide(ic, m.forwardWave(ic), reqs, res)
+}
+
+// decide turns a wave's extractor output into per-row results: the critic
+// head where a row needs it, then the actor heads and the sampler. Both front
+// ends end here.
+func (m *Model) decide(ic *InferCtx, out *waveOut, reqs []WaveReq, res []WaveRes) []WaveRes {
 	if cap(res) < len(reqs) {
 		res = make([]WaveRes, len(reqs))
 	} else {
@@ -107,225 +106,152 @@ func (m *Model) ServeWave(bc *BatchInferCtx, reqs []WaveReq, res []WaveRes) []Wa
 	for i := range res {
 		res[i] = WaveRes{}
 	}
-	if len(reqs) == 0 {
-		return res
-	}
-	bc.arena.Reset()
-	if cap(bc.clusters) < len(reqs) {
-		bc.clusters = make([]*cluster.Cluster, len(reqs))
-	} else {
-		bc.clusters = bc.clusters[:len(reqs)]
-	}
-	for i := range reqs {
-		if reqs[i].Env != nil {
-			bc.clusters[i] = reqs[i].Env.Cluster()
-		} else {
-			bc.clusters[i] = reqs[i].State
-		}
-	}
-	bc.fb.Extract(bc.clusters)
-	out := m.forwardInferBatch(bc)
-	fb := &bc.fb
-
 	// The critic runs once over every row when any request needs it; rows
 	// that don't read their value simply ignore it. Pure-infer waves skip
-	// the critic entirely, exactly like the pre-wave InferBatch.
+	// the critic entirely.
 	if hasKind(reqs, WaveAct) || hasKind(reqs, WaveValue) {
-		bc.values = m.valueInferBatch(bc, out, bc.values)
+		ic.values = m.valuesCol(ic, out, ic.values)
 		for b := range reqs {
-			switch reqs[b].Kind {
-			case WaveValue:
-				res[b].Value = bc.values[b]
-			case WaveAct:
-				res[b].Value = bc.values[b]
+			if reqs[b].Kind == WaveInfer {
+				continue
+			}
+			res[b].Value = ic.values[b]
+			if reqs[b].Kind == WaveAct {
 				res[b].Dec = &Decision{
-					State: &State{Feat: fb.Envs[b].Clone()},
-					Value: bc.values[b],
+					State: &State{Feat: ic.feats[b].Clone()},
+					Value: ic.values[b],
 				}
 			}
 		}
 	}
+	m.sample(ic, out, reqs, res)
+	return res
+}
 
+// fillJointMask fills dst (len M·N, all false) with the FullMask legality
+// matrix of env.
+func (ic *InferCtx) fillJointMask(env *sim.Env, dst []bool, nPM int) {
+	ic.vmMask = env.VMMaskInto(ic.vmMask)
+	for v, ok := range ic.vmMask {
+		if ok {
+			ic.pmMask = env.PMMaskInto(v, ic.pmMask)
+			copy(dst[v*nPM:(v+1)*nPM], ic.pmMask)
+		}
+	}
+}
+
+// sample is the one sampler: per row, masks → softmax → threshold → draw,
+// consuming the row's own rng in a fixed order. A WaveAct row takes exactly
+// the draws a WaveInfer row would and additionally records what PPO stores;
+// WaveValue rows are skipped.
+func (m *Model) sample(ic *InferCtx, out *waveOut, reqs []WaveReq, res []WaveRes) {
+	ar := &ic.arena
+	pmOff, vmOff := ic.pmOff, ic.vmOff
 	switch m.Cfg.Action {
 	case FullMask:
 		for b := range reqs {
 			r := &reqs[b]
-			mTotal := len(fb.Envs[b].VM)
-			nTotal := len(fb.Envs[b].PM)
-			switch r.Kind {
-			case WaveInfer:
-				env := r.Env
-				if cap(bc.jointMask) < mTotal*nTotal {
-					bc.jointMask = make([]bool, mTotal*nTotal)
-				} else {
-					bc.jointMask = bc.jointMask[:mTotal*nTotal]
-					for i := range bc.jointMask {
-						bc.jointMask[i] = false
-					}
-				}
-				bc.vmMask = env.VMMaskInto(bc.vmMask)
-				for v := 0; v < mTotal; v++ {
-					if !bc.vmMask[v] {
-						continue
-					}
-					bc.pmMask = env.PMMaskInto(v, bc.pmMask)
-					for p := 0; p < nTotal; p++ {
-						bc.jointMask[v*nTotal+p] = bc.pmMask[p]
-					}
-				}
-				probs := bc.arena.Softmax(m.jointLogitsBatchRow(bc, out, b, bc.jointMask)).Data
-				idx := sampleRow(probs, r.Rng, r.Opts.Greedy)
-				res[b].VM, res[b].PM = idx/nTotal, idx%nTotal
-			case WaveAct:
-				env := r.Env
-				st := res[b].Dec.State
-				st.JointMask = make([]bool, mTotal*nTotal)
-				vmMask := env.VMMask()
-				for vm := 0; vm < mTotal; vm++ {
-					if !vmMask[vm] {
-						continue
-					}
-					pmMask := env.PMMask(vm)
-					for pm := 0; pm < nTotal; pm++ {
-						st.JointMask[vm*nTotal+pm] = pmMask[pm]
-					}
-				}
-				probs := bc.arena.Softmax(m.jointLogitsBatchRow(bc, out, b, st.JointMask)).Data
-				idx := sampleRow(probs, r.Rng, r.Opts.Greedy)
-				st.VM, st.PM = idx/nTotal, idx%nTotal
-				res[b].Dec.LogProb = logProbOf(probs[idx])
-				res[b].VM, res[b].PM = st.VM, st.PM
-			}
-		}
-		return res
-
-	case Penalty:
-		bc.vmSel = resizeInts(bc.vmSel, len(reqs))
-		vmCol := m.vmLogitsBatch(bc, out)
-		if hasKind(reqs, WaveAct) {
-			bc.actVMProbs = resizeProbSlices(bc.actVMProbs, len(reqs))
-		}
-		for b := range reqs {
-			r := &reqs[b]
 			if r.Kind == WaveValue {
-				bc.vmSel[b] = -1
 				continue
 			}
-			probs := bc.arena.Softmax(m.vmLogitsRow(bc, vmCol, b, nil)).Data
+			nVM, nPM := vmOff[b+1]-vmOff[b], pmOff[b+1]-pmOff[b]
+			var mask []bool
 			if r.Kind == WaveAct {
-				bc.actVMProbs[b] = append(bc.actVMProbs[b][:0], probs...)
-				probs = bc.actVMProbs[b]
+				mask = make([]bool, nVM*nPM) // retained in the decision
+				res[b].Dec.State.JointMask = mask
+			} else {
+				if cap(ic.jointMask) < nVM*nPM {
+					ic.jointMask = make([]bool, nVM*nPM)
+				}
+				mask = ic.jointMask[:nVM*nPM]
+				for i := range mask {
+					mask[i] = false
+				}
 			}
-			sel := sampleRow(probs, r.Rng, r.Opts.Greedy)
-			bc.vmSel[b] = sel
-			res[b].VM = sel
-			if r.Kind == WaveAct {
-				res[b].Dec.State.VM = sel
+			ic.fillJointMask(r.Env, mask, nPM)
+			probs := ar.Softmax(m.jointLogitsRow(ic, out, b, mask)).Data
+			idx := sampleRow(probs, r.Rng, r.Opts.Greedy)
+			res[b].VM, res[b].PM = idx/nPM, idx%nPM
+			if dec := res[b].Dec; dec != nil {
+				dec.State.VM, dec.State.PM = res[b].VM, res[b].PM
+				dec.LogProb = logProbOf(probs[idx])
 			}
 		}
-		pmCol := m.pmMergeBatch(bc, out, bc.vmSel)
-		for b := range reqs {
-			r := &reqs[b]
-			if bc.vmSel[b] < 0 {
-				continue
-			}
-			pmProbs := bc.arena.Softmax(m.pmLogitsRow(bc, pmCol, b, nil)).Data
-			pm := sampleRow(pmProbs, r.Rng, r.Opts.Greedy)
-			res[b].PM = pm
-			if r.Kind == WaveAct {
-				st := res[b].Dec.State
-				st.PM = pm
-				res[b].Dec.LogProb = logProbOf(bc.actVMProbs[b][st.VM]) + logProbOf(pmProbs[st.PM])
-			}
-		}
-		return res
 
-	default: // TwoStage
-		bc.vmSel = resizeInts(bc.vmSel, len(reqs))
-		vmCol := m.vmLogitsBatch(bc, out)
-		if hasKind(reqs, WaveAct) {
-			bc.actVMProbs = resizeProbSlices(bc.actVMProbs, len(reqs))
-		}
+	default:
+		// TwoStage; Penalty is the same two stages with no mask, threshold
+		// or subset (illegal choices are penalized by the caller).
+		masked := m.Cfg.Action == TwoStage
+		ic.vmSel = resizeInts(ic.vmSel, len(reqs))
+		vmCol := m.vmLogitsCol(ic, out)
 		for b := range reqs {
 			r := &reqs[b]
-			switch r.Kind {
-			case WaveValue:
-				bc.vmSel[b] = -1
-			case WaveInfer:
-				env := r.Env
-				bc.vmMask = env.VMMaskInto(bc.vmMask)
-				if !anyTrue(bc.vmMask) {
-					res[b].Err = ErrNoMigratableVM
-					bc.vmSel[b] = -1
-					continue
-				}
-				bc.vmProbs = resizeFloats(bc.vmProbs, len(bc.vmMask))
-				copy(bc.vmProbs, bc.arena.Softmax(m.vmLogitsRow(bc, vmCol, b, bc.vmMask)).Data)
-				if r.Opts.VMQuantile > 0 {
-					bc.sortBuf = applyThresholdBuf(bc.sortBuf, bc.vmProbs, bc.vmMask, r.Opts.VMQuantile)
-				}
-				vm := sampleLegal(bc.vmProbs, bc.vmMask, r.Rng, r.Opts.Greedy)
-				bc.vmSel[b] = vm
-				res[b].VM = vm
-			case WaveAct:
-				env := r.Env
-				st := res[b].Dec.State
-				st.VMMask = env.VMMask()
-				if !anyTrue(st.VMMask) {
-					res[b].Dec = nil // no migratable VM: episode over for this env
-					res[b].Err = ErrNoMigratableVM
-					bc.vmSel[b] = -1
-					continue
-				}
-				p := append(bc.actVMProbs[b][:0], bc.arena.Softmax(m.vmLogitsRow(bc, vmCol, b, st.VMMask)).Data...)
-				if r.Opts.VMQuantile > 0 {
-					bc.sortBuf = applyThresholdBuf(bc.sortBuf, p, st.VMMask, r.Opts.VMQuantile)
-				}
-				st.VM = sampleLegal(p, st.VMMask, r.Rng, r.Opts.Greedy)
-				bc.actVMProbs[b] = p
-				bc.vmSel[b] = st.VM
-				res[b].VM = st.VM
-			}
-		}
-		pmCol := m.pmMergeBatch(bc, out, bc.vmSel)
-		for b := range reqs {
-			r := &reqs[b]
-			if bc.vmSel[b] < 0 {
+			ic.vmSel[b] = -1
+			if r.Kind == WaveValue {
 				continue
 			}
-			switch r.Kind {
-			case WaveInfer:
-				env := r.Env
-				vm := bc.vmSel[b]
-				bc.pmMask = env.PMMaskInto(vm, bc.pmMask)
-				bc.pmProbs = resizeFloats(bc.pmProbs, len(bc.pmMask))
-				copy(bc.pmProbs, bc.arena.Softmax(m.pmLogitsRow(bc, pmCol, b, bc.pmMask)).Data)
-				if r.Opts.PMQuantile > 0 {
-					bc.sortBuf = applyThresholdBuf(bc.sortBuf, bc.pmProbs, bc.pmMask, r.Opts.PMQuantile)
+			dec := res[b].Dec
+			var mask []bool
+			if masked {
+				if dec != nil {
+					mask = r.Env.VMMask() // retained in the decision
+					dec.State.VMMask = mask
+				} else {
+					ic.vmMask = r.Env.VMMaskInto(ic.vmMask)
+					mask = ic.vmMask
 				}
-				pm := sampleLegal(bc.pmProbs, bc.pmMask, r.Rng, r.Opts.Greedy)
-				if m.Cfg.PMSubset > 0 {
-					// Decima-style: resample the PM from a random legal subset,
-					// overriding the learned stage-2 choice.
-					pm = subsetPM(bc.pmMask, m.Cfg.PMSubset, bc.pmProbs, r.Rng)
+				if !anyTrue(mask) {
+					// No migratable VM: the episode is over for this env.
+					res[b].Dec, res[b].Err = nil, ErrNoMigratableVM
+					continue
 				}
-				res[b].PM = pm
-			case WaveAct:
-				env := r.Env
-				st := res[b].Dec.State
-				st.PMMask = env.PMMask(st.VM)
-				pmProbs := append([]float64(nil), bc.arena.Softmax(m.pmLogitsRow(bc, pmCol, b, st.PMMask)).Data...)
-				if r.Opts.PMQuantile > 0 {
-					bc.sortBuf = applyThresholdBuf(bc.sortBuf, pmProbs, st.PMMask, r.Opts.PMQuantile)
-				}
-				st.PM = sampleLegal(pmProbs, st.PMMask, r.Rng, r.Opts.Greedy)
-				res[b].Dec.LogProb = logProbOf(bc.actVMProbs[b][st.VM]) + logProbOf(pmProbs[st.PM])
-				if m.Cfg.PMSubset > 0 {
-					st.PM = subsetPM(st.PMMask, m.Cfg.PMSubset, pmProbs, r.Rng)
-				}
-				res[b].PM = st.PM
+			}
+			probs := ar.Softmax(logitsRow(ar, vmCol, vmOff[b], vmOff[b+1], mask)).Data
+			if masked && r.Opts.VMQuantile > 0 {
+				ic.sortBuf = applyThresholdBuf(ic.sortBuf, probs, mask, r.Opts.VMQuantile)
+			}
+			vm := sampleLegal(probs, mask, r.Rng, r.Opts.Greedy)
+			ic.vmSel[b], res[b].VM = vm, vm
+			if dec != nil {
+				dec.State.VM = vm
+				dec.LogProb = logProbOf(probs[vm])
 			}
 		}
-		return res
+		pmCol := m.pmLogitsCol(ic, out, ic.vmSel)
+		for b := range reqs {
+			r := &reqs[b]
+			vm := ic.vmSel[b]
+			if vm < 0 {
+				continue
+			}
+			dec := res[b].Dec
+			var mask []bool
+			if masked {
+				if dec != nil {
+					mask = r.Env.PMMask(vm) // retained in the decision
+					dec.State.PMMask = mask
+				} else {
+					ic.pmMask = r.Env.PMMaskInto(vm, ic.pmMask)
+					mask = ic.pmMask
+				}
+			}
+			probs := ar.Softmax(logitsRow(ar, pmCol, pmOff[b], pmOff[b+1], mask)).Data
+			if masked && r.Opts.PMQuantile > 0 {
+				ic.sortBuf = applyThresholdBuf(ic.sortBuf, probs, mask, r.Opts.PMQuantile)
+			}
+			pm := sampleLegal(probs, mask, r.Rng, r.Opts.Greedy)
+			if dec != nil {
+				dec.LogProb += logProbOf(probs[pm])
+			}
+			if masked && m.Cfg.PMSubset > 0 {
+				// Decima-style: resample the PM from a random legal subset,
+				// overriding the learned stage-2 choice.
+				pm = subsetPM(mask, m.Cfg.PMSubset, probs, r.Rng)
+			}
+			res[b].PM = pm
+			if dec != nil {
+				dec.State.PM = pm
+			}
+		}
 	}
 }

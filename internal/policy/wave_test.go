@@ -4,14 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"vmr2l/internal/cluster"
 	"vmr2l/internal/sim"
 )
 
 // TestServeWaveMixedKinds pins the heterogeneous-wave contract the serving
 // scheduler depends on: a single wave mixing WaveInfer, WaveAct and WaveValue
-// rows gives every row exactly what its standalone path (Infer / Act /
-// sequential critic value) computes — wave composition is invisible to each
-// request.
+// rows gives every row exactly what it gets in a wave of one (Infer / Act /
+// a one-state ValuesBatch) — wave composition is invisible to each request.
 func TestServeWaveMixedKinds(t *testing.T) {
 	for _, mode := range []ActionMode{TwoStage, Penalty, FullMask} {
 		m := New(Config{DModel: 16, Hidden: 24, Blocks: 2, Heads: 2, Action: mode, Seed: 21})
@@ -53,9 +53,8 @@ func TestServeWaveMixedKinds(t *testing.T) {
 					refs[b] = ref{dec: dec, err: err, isAct: true}
 					reqs[b] = WaveReq{Kind: WaveAct, Env: envs[b], Rng: rand.New(rand.NewSource(seed)), Opts: opts}
 				default: // WaveValue
-					ic.arena.Reset()
-					fo := m.forwardInfer(ic, sim.Extract(envs[b].Cluster()))
-					refs[b] = ref{val: m.valueInfer(ic, fo), hasVal: true}
+					alone := m.ValuesBatch(ic, []*cluster.Cluster{envs[b].Cluster()}, nil)
+					refs[b] = ref{val: alone[0], hasVal: true}
 					reqs[b] = WaveReq{Kind: WaveValue, State: envs[b].Cluster()}
 				}
 			}

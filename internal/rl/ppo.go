@@ -94,9 +94,9 @@ type Trainer struct {
 	rng   *rand.Rand
 	// pool recycles minibatch graph storage across Update calls.
 	pool *tensor.GraphPool
-	// bic is the batched inference context the vectorized stepper reuses
-	// across waves, episodes, and updates.
-	bic *policy.BatchInferCtx
+	// bic is the inference context the vectorized stepper reuses across
+	// waves, episodes, and updates.
+	bic *policy.InferCtx
 }
 
 // NewTrainer builds a trainer (one Adam state per trainer).
@@ -138,7 +138,7 @@ func (t *Trainer) collectVectorized(maps []*cluster.Cluster, envCfg sim.Config) 
 	n := t.Cfg.Envs
 	per := (t.Cfg.RolloutSteps + n - 1) / n
 	if t.bic == nil {
-		t.bic = policy.NewBatchInferCtx()
+		t.bic = policy.NewInferCtx()
 	}
 	type envState struct {
 		env      *sim.Env
@@ -410,15 +410,14 @@ func (t *Trainer) Update(maps []*cluster.Cluster, envCfg sim.Config, updateIdx i
 		idx[i] = i
 	}
 	nMB := 0
-	// Route the minibatch graphs' storage through a recycling pool: each
-	// minibatch builds and discards one autograd graph, so its buffers are
-	// reused instead of churning the allocator. The pool is removed before
-	// returning (Evaluate callers outside Update see normal allocation).
+	// Route the minibatch graphs' storage through the trainer's recycling
+	// pool: each minibatch builds and discards one autograd graph, so its
+	// buffers are reused instead of churning the allocator. The pool is
+	// handed to Evaluate, whose graph inputs own it; every node computed
+	// from them inherits it.
 	if t.pool == nil {
 		t.pool = &tensor.GraphPool{}
 	}
-	prevPool := tensor.SetGraphPool(t.pool)
-	defer tensor.SetGraphPool(prevPool)
 	for epoch := 0; epoch < t.Cfg.Epochs; epoch++ {
 		t.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for start := 0; start < len(idx); start += t.Cfg.Minibatch {
@@ -434,7 +433,7 @@ func (t *Trainer) Update(maps []*cluster.Cluster, envCfg sim.Config, updateIdx i
 			var pgTerms, vTerms, entTerms []*tensor.Tensor
 			for _, i := range mb {
 				tr := batch[i]
-				ev := t.Model.Evaluate(tr.state)
+				ev := t.Model.Evaluate(t.pool, tr.state)
 				// ratio = exp(logp_new - logp_old)
 				ratio := tensor.Exp(tensor.AddScalar(ev.LogProb, -tr.logp))
 				surr1 := tensor.Scale(ratio, tr.adv)

@@ -2,9 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"math/rand"
 
 	"vmr2l/internal/policy"
 	"vmr2l/internal/sim"
@@ -41,118 +38,22 @@ func (a *Agent) Meta() solver.Meta {
 	}
 }
 
-// ctxDone reports err is a context cancellation — the anytime contract keeps
-// the best-so-far plan and reports success, like policy.Agent.
-func ctxDone(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // Solve implements solver.Solver: one policy rollout whose per-step
-// inference rides shared waves. Identical plan to policy.Agent.Solve with
-// the same seed.
+// inference rides shared waves — SolveBatch of one environment.
 func (a *Agent) Solve(ctx context.Context, env *sim.Env) error {
-	rng := rand.New(rand.NewSource(a.Seed))
-	penalty := a.Sched.Model().Cfg.Action == policy.Penalty
-	for !env.Done() {
-		if ctx.Err() != nil {
-			return nil // budget spent: best-so-far plan is already in env
-		}
-		res, err := a.Sched.Submit(ctx, policy.WaveReq{Kind: policy.WaveInfer, Env: env, Rng: rng, Opts: a.Opts})
-		if err != nil {
-			if ctxDone(err) {
-				return nil
-			}
-			return err // scheduler closed mid-solve
-		}
-		if res.Err != nil {
-			return nil // no migratable VM left: episode effectively over
-		}
-		if penalty {
-			if _, _, err := env.PenaltyStep(res.VM, res.PM, -5); err != nil {
-				return fmt.Errorf("serve: penalty step: %w", err)
-			}
-			continue
-		}
-		if a.EarlyStop {
-			if g, ok := sim.MoveGain(env.Cluster(), env.Objective(), res.VM, res.PM); ok && g < 0 {
-				return nil
-			}
-		}
-		if _, _, err := env.Step(res.VM, res.PM); err != nil {
-			return fmt.Errorf("serve: step: %w", err)
-		}
-	}
-	return nil
+	return a.SolveBatch(ctx, []*sim.Env{env})
 }
 
-// SolveBatch rolls every environment in lock-step, submitting each wave's
-// active rows in one shot so they share scheduler waves (and can coalesce
-// further with unrelated traffic). Per environment the plan is bit-identical
-// to policy.Agent.SolveBatch — same derived seeds Seed+1000003·i, same rng
-// consumption order. Implements the shard.BatchSolver contract, so a sharded
-// solve registered with this agent batches across shards through the
-// scheduler.
+// SolveBatch rolls every environment in lock-step through the one rollout
+// loop (policy.Model.Rollout) with the scheduler computing the waves: each
+// step's active rows are submitted in one shot so they share scheduler waves
+// (and can coalesce further with unrelated traffic). Per environment the plan
+// is bit-identical to policy.Agent.SolveBatch — same derived seeds
+// Seed+1000003·i, same rng consumption order. Implements the
+// shard.BatchSolver contract, so a sharded solve registered with this agent
+// batches across shards through the scheduler. A scheduler closed mid-solve
+// is the returned error.
 func (a *Agent) SolveBatch(ctx context.Context, envs []*sim.Env) error {
-	rngs := make([]*rand.Rand, len(envs))
-	for i := range rngs {
-		rngs[i] = rand.New(rand.NewSource(a.Seed + 1_000_003*int64(i)))
-	}
-	active := make([]int, 0, len(envs))
-	for i, env := range envs {
-		if !env.Done() {
-			active = append(active, i)
-		}
-	}
-	penalty := a.Sched.Model().Cfg.Action == policy.Penalty
-	var reqs []policy.WaveReq
-	var res []policy.WaveRes
-	var firstErr error
-	for len(active) > 0 && ctx.Err() == nil {
-		reqs = reqs[:0]
-		for _, i := range active {
-			reqs = append(reqs, policy.WaveReq{Kind: policy.WaveInfer, Env: envs[i], Rng: rngs[i], Opts: a.Opts})
-		}
-		var err error
-		res, err = a.Sched.SubmitMany(ctx, reqs, res)
-		if err != nil {
-			if ctxDone(err) {
-				return firstErr // every env keeps its best-so-far plan
-			}
-			return err
-		}
-		n := 0
-		for k, i := range active {
-			env := envs[i]
-			r := res[k]
-			if r.Err != nil {
-				continue // no migratable VM: episode effectively over
-			}
-			if penalty {
-				if _, _, err := env.PenaltyStep(r.VM, r.PM, -5); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-			} else {
-				if a.EarlyStop {
-					if g, ok := sim.MoveGain(env.Cluster(), env.Objective(), r.VM, r.PM); ok && g < 0 {
-						continue
-					}
-				}
-				if _, _, err := env.Step(r.VM, r.PM); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-			}
-			if !env.Done() {
-				active[n] = i
-				n++
-			}
-		}
-		active = active[:n]
-	}
-	return firstErr
+	return a.Sched.Model().Rollout(ctx, a.Sched.SubmitMany, envs,
+		policy.EnvRngs(a.Seed, len(envs)), []policy.SampleOpts{a.Opts}, a.EarlyStop)
 }

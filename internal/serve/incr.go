@@ -10,10 +10,13 @@ import (
 // migration — exactly the access pattern the policy step cache
 // (policy.InferCtx.SetIncremental) turns into row patches instead of full
 // forwards. The scheduler keeps one incremental InferCtx per live
-// environment and, when enabled, serves WaveInfer rows through it rather
-// than the batched ServeWave. Results are bit-identical either way (the
-// batched kernels compute each row independently, and the step cache is
+// environment and, when enabled, serves WaveInfer rows through it — a wave
+// of one fed by the step cache — rather than the shared ServeWave, whose
+// front end recomputes every row. Results are bit-identical either way (the
+// wave kernels compute each row independently, and the step cache is
 // bit-exact by construction), so routing is purely a throughput decision.
+// Rows of different sessions are still resolved one at a time here:
+// stacking their dirty rows into one GEMM is an open ROADMAP item.
 //
 // Sessions are keyed by *sim.Env and bounded by an LRU: an evicted session
 // just loses its cache (the next row re-primes). An env that is Reset or

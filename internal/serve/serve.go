@@ -9,10 +9,14 @@
 // The pattern is borrowed from LLM serving runtimes ("continuous batching"):
 // instead of each request paying a full forward pass, concurrent requests
 // share one, and rows that arrive while a wave is executing simply join the
-// next wave. Because every batched kernel computes each output row
-// independently, the result each caller receives is bit-identical to what
-// the standalone Infer/Act path would have produced with the same rng
-// stream — batching changes throughput, never answers.
+// next wave. Because every wave kernel computes each output row
+// independently, the result each caller receives is bit-identical to what a
+// wave of one (policy.Model.Infer/Act) would have produced with the same rng
+// stream — batching changes throughput, never answers. The scheduler adds no
+// inference code of its own: full recomputes are policy.Model.ServeWave on
+// the runner's context, step-cache rows (incr.go) are policy.Model.Infer on
+// the session's, and rollouts (Agent) are policy.Model.Rollout with
+// SubmitMany computing the waves.
 //
 // Two knobs shape admission:
 //
@@ -132,8 +136,8 @@ type pending struct {
 	done chan struct{}
 }
 
-// Scheduler owns a single runner goroutine and one pooled batch context; all
-// forward passes go through it. Safe for concurrent Submit from any number
+// Scheduler owns a single runner goroutine and one pooled inference context;
+// all forward passes go through it. Safe for concurrent Submit from any number
 // of goroutines.
 type Scheduler struct {
 	model *policy.Model
@@ -159,7 +163,7 @@ type Scheduler struct {
 	incrSessions                                  int
 
 	// Runner-owned scratch; only the runner goroutine touches these.
-	bc        *policy.BatchInferCtx
+	bc        *policy.InferCtx
 	reqBuf    []policy.WaveReq
 	resBuf    []policy.WaveRes
 	wavePend  []*pending
@@ -184,7 +188,7 @@ func NewScheduler(m *policy.Model, opts Options) *Scheduler {
 		kick:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 		ran:   make(chan struct{}),
-		bc:    policy.AcquireBatchCtx(),
+		bc:    policy.AcquireCtx(),
 	}
 	s.incrOn = incrEnabled(opts.Incremental, m)
 	go s.run()
@@ -231,7 +235,7 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // Submit enqueues one row and blocks until its wave executes. The result is
-// bit-identical to the standalone path of req.Kind with the same rng stream.
+// bit-identical to a wave of one row of req.Kind with the same rng stream.
 // If ctx is cancelled while the row is still queued, the row is dropped
 // (never joining a wave) and ctx.Err() is returned; if cancellation lands
 // after the row is sealed into an executing wave, Submit waits the wave out

@@ -1,29 +1,48 @@
 package tensor
 
+import "fmt"
+
 // GraphPool recycles the float64 buffers behind autograd graph nodes. PPO
 // updates build and discard thousands of near-identical small graphs per
 // second; routing their Data/Grad storage through a bump pool removes the
 // allocator and GC pressure (the buffers are still zeroed on reuse, which
-// the ops require). The pool is NOT thread-safe and applies process-wide:
-// enable it only around single-threaded training steps, and never hold a
-// graph across Reset.
+// the ops require).
 //
-// Persistent tensors (parameters, checkpoints) are allocated via New while
-// no pool is installed, so they are never recycled.
+// A pool has one owner (a trainer) and is not thread-safe. Ownership is
+// explicit: the owner creates the graph's input tensors through the pool
+// (New, FromRows), and every op result inherits the pool of its first pooled
+// parent, so a graph grown from pooled inputs lives in the pool entirely.
+// Tensors with no pooled ancestor — parameters, checkpoints, anything built
+// with the package-level constructors — allocate from the heap and are never
+// recycled. Never hold a pooled graph across Reset. A nil *GraphPool is
+// valid everywhere and means "heap".
 type GraphPool struct {
 	bufs [][]float64
 	next int
 }
 
-// activeGraphPool is consulted by child() and ensureGrad(). nil = off.
-var activeGraphPool *GraphPool
+// New allocates a zero rows×cols tensor whose storage, and that of every
+// graph node computed from it, belongs to the pool.
+func (p *GraphPool) New(rows, cols int) *Tensor {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
+	}
+	return &Tensor{Data: p.alloc(rows * cols), Rows: rows, Cols: cols, pool: p}
+}
 
-// SetGraphPool installs (or, with nil, removes) the process-wide graph pool.
-// Returns the previously installed pool.
-func SetGraphPool(p *GraphPool) *GraphPool {
-	prev := activeGraphPool
-	activeGraphPool = p
-	return prev
+// FromRows builds a pool-owned tensor from equal-length rows.
+func (p *GraphPool) FromRows(rows [][]float64) *Tensor {
+	if len(rows) == 0 {
+		return p.New(0, 0)
+	}
+	t := p.New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != t.Cols {
+			panic("tensor: ragged rows")
+		}
+		copy(t.Data[i*t.Cols:], r)
+	}
+	return t
 }
 
 // Reset recycles every buffer handed out since the last Reset. All tensors
@@ -50,11 +69,11 @@ func (p *GraphPool) get(n int) []float64 {
 	return buf
 }
 
-// graphAlloc returns a zeroed buffer for a graph-internal tensor, from the
-// active pool when one is installed.
-func graphAlloc(n int) []float64 {
-	if activeGraphPool != nil {
-		return activeGraphPool.get(n)
+// alloc returns a zeroed buffer of length n from the pool, or from the heap
+// when p is nil.
+func (p *GraphPool) alloc(n int) []float64 {
+	if p == nil {
+		return make([]float64, n)
 	}
-	return make([]float64, n)
+	return p.get(n)
 }

@@ -369,14 +369,14 @@ func GroupedAttention(q, k, v *Tensor, groups [][]int, scale float64) *Tensor {
 	for _, g := range groups {
 		total += len(g) * len(g)
 	}
-	probs := graphAlloc(total)
+	probs := out.pool.alloc(total)
 	maxS := 0
 	for _, g := range groups {
 		if len(g) > maxS {
 			maxS = len(g)
 		}
 	}
-	scores := graphAlloc(maxS)
+	scores := out.pool.alloc(maxS)
 	off := 0
 	for _, g := range groups {
 		s := len(g)
@@ -416,7 +416,7 @@ func GroupedAttention(q, k, v *Tensor, groups [][]int, scale float64) *Tensor {
 			if v.requiresGrad {
 				v.ensureGrad()
 			}
-			dp := graphAlloc(maxS)
+			dp := out.pool.alloc(maxS)
 			off := 0
 			for _, g := range groups {
 				s := len(g)
@@ -587,9 +587,9 @@ func LayerNorm(a, gamma, beta *Tensor, eps float64) *Tensor {
 	}
 	out := child(a.Rows, a.Cols, a, gamma, beta)
 	n := float64(a.Cols)
-	means := graphAlloc(a.Rows)
-	invstd := graphAlloc(a.Rows)
-	xhat := graphAlloc(len(a.Data))
+	means := out.pool.alloc(a.Rows)
+	invstd := out.pool.alloc(a.Rows)
+	xhat := out.pool.alloc(len(a.Data))
 	for i := 0; i < a.Rows; i++ {
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		m := 0.0
@@ -614,7 +614,7 @@ func LayerNorm(a, gamma, beta *Tensor, eps float64) *Tensor {
 		out.backward = func() {
 			var gp []float64
 			if a.requiresGrad {
-				gp = graphAlloc(a.Cols)
+				gp = out.pool.alloc(a.Cols)
 			}
 			for i := 0; i < a.Rows; i++ {
 				g := out.Grad[i*a.Cols : (i+1)*a.Cols]

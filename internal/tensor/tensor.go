@@ -27,18 +27,18 @@ type Tensor struct {
 	requiresGrad bool
 	parents      []*Tensor
 	backward     func()
+	// pool owns Data/Grad when non-nil (see GraphPool); op results inherit
+	// it from their parents.
+	pool *GraphPool
 }
 
-// New allocates a zero rows×cols tensor. While a graph pool is installed
-// (training steps), storage is recycled like any other graph node — callers
-// that need a tensor to outlive the step (parameters, checkpoints) allocate
-// while no pool is active.
-func New(rows, cols int) *Tensor {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
-	}
-	return &Tensor{Data: graphAlloc(rows * cols), Rows: rows, Cols: cols}
-}
+// New allocates a zero rows×cols heap tensor (see GraphPool.New for
+// pool-owned graph inputs).
+func New(rows, cols int) *Tensor { return (*GraphPool)(nil).New(rows, cols) }
+
+// Pool returns the graph pool that owns the tensor's storage, nil for heap
+// tensors.
+func (t *Tensor) Pool() *GraphPool { return t.pool }
 
 // FromSlice wraps row-major data (copied) into a rows×cols tensor.
 func FromSlice(rows, cols int, data []float64) *Tensor {
@@ -50,20 +50,8 @@ func FromSlice(rows, cols int, data []float64) *Tensor {
 	return t
 }
 
-// FromRows builds a tensor from equal-length rows.
-func FromRows(rows [][]float64) *Tensor {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	t := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != t.Cols {
-			panic("tensor: ragged rows")
-		}
-		copy(t.Data[i*t.Cols:], r)
-	}
-	return t
-}
+// FromRows builds a heap tensor from equal-length rows.
+func FromRows(rows [][]float64) *Tensor { return (*GraphPool)(nil).FromRows(rows) }
 
 // Randn fills a new tensor with Gaussian values scaled by std.
 func Randn(rng *rand.Rand, rows, cols int, std float64) *Tensor {
@@ -108,13 +96,17 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // child builds a result tensor wired into the graph when any parent
-// requires grad. Storage comes from the active graph pool when one is
-// installed (see GraphPool).
+// requires grad. Storage comes from the first pooled parent's graph pool,
+// from the heap when no parent is pooled.
 func child(rows, cols int, parents ...*Tensor) *Tensor {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
+	var pool *GraphPool
+	for _, p := range parents {
+		if p.pool != nil {
+			pool = p.pool
+			break
+		}
 	}
-	out := &Tensor{Data: graphAlloc(rows * cols), Rows: rows, Cols: cols}
+	out := pool.New(rows, cols)
 	for _, p := range parents {
 		if p.requiresGrad {
 			out.requiresGrad = true
@@ -122,7 +114,7 @@ func child(rows, cols int, parents ...*Tensor) *Tensor {
 		}
 	}
 	if out.requiresGrad {
-		out.Grad = graphAlloc(len(out.Data))
+		out.Grad = pool.alloc(len(out.Data))
 		out.parents = parents
 	}
 	return out
@@ -131,7 +123,7 @@ func child(rows, cols int, parents ...*Tensor) *Tensor {
 // ensureGrad lazily allocates the gradient buffer of a graph-internal node.
 func (t *Tensor) ensureGrad() {
 	if t.Grad == nil {
-		t.Grad = graphAlloc(len(t.Data))
+		t.Grad = t.pool.alloc(len(t.Data))
 	}
 }
 
