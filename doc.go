@@ -64,7 +64,15 @@
 // GEMM, attention runs block-diagonally per environment
 // (nn.Attention.InferSeg; tree attention concatenates per-env groups into
 // one GroupedAttention pass), and one set of heads and one sampler turn the
-// result into per-row actions, decisions or critic values. B=1 is a wave of
+// result into per-row actions, decisions or critic values. Attention is one
+// fused row kernel (tensor.Arena.SegmentedAttention): two query rows'
+// scores live in worker-local scratch, are softmaxed in place and folded
+// into the output rows, so no m×n score or probability matrix is stored —
+// the one probability row inference reads (the selected VM's, for the PM
+// actor) is computed on request by nn.Attention.ProbRow. Query rows fan out
+// over GOMAXPROCS weighted by their segment's kv length, so a wave of one
+// uses every core. The kernel keeps the op-by-op operation order per output
+// element; its results are Float64bits-equal to the unfused composition. B=1 is a wave of
 // one: Model.Infer, Act and Probabilities, like InferBatch, ActBatch and
 // ValuesBatch, are typed wrappers that build a wave on a policy.InferCtx
 // (one arena, one buffer set, one pool; zero steady-state allocations).

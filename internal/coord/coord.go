@@ -101,7 +101,7 @@ type Coordinator struct {
 	// rehoming marks sessions whose re-home is in flight (503 until done).
 	rehoming map[string]bool
 	// lost records sessions that could not be restored anywhere (410).
-	lost   map[string]string // session id -> reason
+	lost    map[string]string // session id -> reason
 	sessSeq uint64
 
 	// Fleet accounting. rehomed == restored + restoreFailed by construction.

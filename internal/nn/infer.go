@@ -74,26 +74,22 @@ func (m *MLP) Infer(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 
 // InferTree is the arena-allocated, graph-free ForwardTree. With quantized
 // heads the input rows are quantized once and the packed form feeds all
-// 3·heads projections.
+// 3·heads projections. Each head's kernel writes its column slot of one
+// zeroed tensor (rows outside every group stay zero).
 func (a *Attention) InferTree(ar *tensor.Arena, x *tensor.Tensor, groups [][]int) *tensor.Tensor {
-	var concat *tensor.Tensor
 	var qx *tensor.QuantActs
 	if a.quantizedHeads() {
 		qx = ar.QuantizeActs(x)
 	}
 	scale := 1 / math.Sqrt(float64(a.headDim))
+	heads := ar.Tensor(x.Rows, len(a.Wq)*a.headDim)
 	for h := range a.Wq {
 		qq := a.Wq[h].inferPre(ar, x, qx)
 		kk := a.Wk[h].inferPre(ar, x, qx)
 		vv := a.Wv[h].inferPre(ar, x, qx)
-		head := ar.GroupedAttention(qq, kk, vv, groups, scale)
-		if concat == nil {
-			concat = head
-		} else {
-			concat = ar.ConcatCols(concat, head)
-		}
+		ar.GroupedAttentionRows(heads, h*a.headDim, qq, kk, vv, groups, scale)
 	}
-	return a.Wo.Infer(ar, concat)
+	return a.Wo.Infer(ar, heads)
 }
 
 // InferSeg is the arena-allocated, graph-free Forward over segments: q
@@ -102,53 +98,52 @@ func (a *Attention) InferTree(ar *tensor.Arena, x *tensor.Tensor, groups [][]int
 // of segment b — the block-diagonal structure of batching independent
 // environments into one forward pass; one segment is plain dense attention.
 // The Q/K/V projections and the output layer each run as one stacked GEMM
-// over all segments (the batching win); the score/softmax/value stage runs
-// per segment on zero-copy row views, writing each segment's product
-// directly into its slot of the stacked head tensor. Per segment the result
-// is bit-identical whether the segment is alone or shares the call, because
-// every kernel here computes each output row independently of how many other
-// rows share the call. No mask is supported (the policy's self/cross
-// attention never masks).
-//
-// probs is an optional reusable slice for the per-segment mean attention
-// probabilities; the (possibly grown) slice is returned alongside the
-// stacked output.
-func (a *Attention) InferSeg(ar *tensor.Arena, q, kv *tensor.Tensor, qOff, kvOff []int, probs []*tensor.Tensor) (*tensor.Tensor, []*tensor.Tensor) {
-	nSeg := len(qOff) - 1
-	if len(kvOff)-1 != nSeg {
-		panic("nn: InferSeg offset lengths disagree")
-	}
-	if cap(probs) < nSeg {
-		probs = make([]*tensor.Tensor, nSeg)
-	} else {
-		probs = probs[:nSeg]
-	}
-	var concat *tensor.Tensor
+// over all segments (the batching win); each head's fused
+// score/softmax/value kernel (tensor.SegmentedAttention) writes its column
+// slot of the stacked head tensor and stores no score or probability matrix.
+// Per segment the result is bit-identical whether the segment is alone or
+// shares the call, because every kernel here computes each output row
+// independently of how many other rows share the call. No mask is supported
+// (the policy's self/cross attention never masks). Forward's second result,
+// the head-mean probabilities, is available one row at a time from ProbRow.
+func (a *Attention) InferSeg(ar *tensor.Arena, q, kv *tensor.Tensor, qOff, kvOff []int) *tensor.Tensor {
 	qq8, qkv8 := a.quantInputs(ar, q, kv)
 	scale := 1 / math.Sqrt(float64(a.headDim))
+	heads := ar.Uninit(q.Rows, len(a.Wq)*a.headDim)
 	for h := range a.Wq {
 		qq := a.Wq[h].inferPre(ar, q, qq8)
 		kk := a.Wk[h].inferPre(ar, kv, qkv8)
 		vv := a.Wv[h].inferPre(ar, kv, qkv8)
-		head, hp := ar.SegmentedAttention(qq, kk, vv, qOff, kvOff, scale)
-		if h == 0 {
-			copy(probs, hp)
+		ar.SegmentedAttention(heads, h*a.headDim, qq, kk, vv, qOff, kvOff, scale)
+	}
+	return a.Wo.Infer(ar, heads)
+}
+
+// ProbRow returns the head-mean attention probabilities (1×(hi-lo)) of query
+// row qRow of q over rows [lo, hi) of kv — one row of Forward's second
+// result, the only part of it inference reads (the PM actor's score feature
+// is the selected VM's row). It re-projects that one query row and the
+// segment's keys and runs the op-by-op softmax on the single score row;
+// every kernel involved computes a row from that row's inputs alone, so the
+// bits equal the matching row of the full m×n matrix that InferSeg no longer
+// builds.
+func (a *Attention) ProbRow(ar *tensor.Arena, q, kv *tensor.Tensor, qRow, lo, hi int) *tensor.Tensor {
+	qr, ks := ar.Rows(q, qRow, qRow+1), ar.Rows(kv, lo, hi)
+	qq8, qkv8 := a.quantInputs(ar, qr, ks)
+	scale := 1 / math.Sqrt(float64(a.headDim))
+	var mean *tensor.Tensor
+	for h := range a.Wq {
+		qq := a.Wq[h].inferPre(ar, qr, qq8)
+		kk := a.Wk[h].inferPre(ar, ks, qkv8)
+		p := ar.Softmax(ar.Scale(ar.MatMulT(qq, kk), scale))
+		if mean == nil {
+			mean = p
 		} else {
-			for b := 0; b < nSeg; b++ {
-				probs[b] = ar.Add(probs[b], hp[b])
-			}
-		}
-		if concat == nil {
-			concat = head
-		} else {
-			concat = ar.ConcatCols(concat, head)
+			mean = ar.Add(mean, p)
 		}
 	}
 	if len(a.Wq) > 1 {
-		inv := 1 / float64(len(a.Wq))
-		for b := 0; b < nSeg; b++ {
-			probs[b] = ar.Scale(probs[b], inv)
-		}
+		mean = ar.Scale(mean, 1/float64(len(a.Wq)))
 	}
-	return a.Wo.Infer(ar, concat), probs
+	return mean
 }

@@ -67,46 +67,37 @@ func (m *MLP) InferRows(ar *tensor.Arena, c *MLPCache, x *tensor.Tensor, rows []
 }
 
 // TreeCache holds the persistent intermediates of one InferTree call: the
-// per-head Q/K/V projections, each head's grouped-attention output, their
-// column concatenation, and the Wo output. Enough state to recompute any
-// subset of groups without touching the rest.
+// per-head Q/K/V projections, the heads' grouped-attention outputs side by
+// side (one column slot per head), and the Wo output. Enough state to
+// recompute any subset of groups without touching the rest.
 type TreeCache struct {
 	QQ, KK, VV []*tensor.Tensor
-	Heads      []*tensor.Tensor
-	Concat     *tensor.Tensor
+	Heads      *tensor.Tensor
 	Out        *tensor.Tensor
 }
 
 // InferTreeInto runs the full tree attention and captures every
-// intermediate into c, returning c.Out — bit-identical to InferTree (the
-// concatenation is an explicit copy instead of ConcatCols, value-preserving
-// either way).
+// intermediate into c, returning c.Out — bit-identical to InferTree (same
+// kernels over copies of the same values).
 func (a *Attention) InferTreeInto(ar *tensor.Arena, c *TreeCache, x *tensor.Tensor, groups [][]int) *tensor.Tensor {
 	nh := len(a.Wq)
 	c.QQ = ensureTensors(c.QQ, nh)
 	c.KK = ensureTensors(c.KK, nh)
 	c.VV = ensureTensors(c.VV, nh)
-	c.Heads = ensureTensors(c.Heads, nh)
 	var qx *tensor.QuantActs
 	if a.quantizedHeads() {
 		qx = ar.QuantizeActs(x)
 	}
 	scale := 1 / math.Sqrt(float64(a.headDim))
-	dv := a.headDim
-	c.Concat = ensureTensor(c.Concat, x.Rows, nh*dv)
+	c.Heads = ensureTensor(c.Heads, x.Rows, nh*a.headDim)
+	clear(c.Heads.Data) // rows outside every group stay zero
 	for h := range a.Wq {
 		c.QQ[h] = captureTensor(c.QQ[h], a.Wq[h].inferPre(ar, x, qx))
 		c.KK[h] = captureTensor(c.KK[h], a.Wk[h].inferPre(ar, x, qx))
 		c.VV[h] = captureTensor(c.VV[h], a.Wv[h].inferPre(ar, x, qx))
-		head := ar.GroupedAttention(c.QQ[h], c.KK[h], c.VV[h], groups, scale)
-		c.Heads[h] = captureTensor(c.Heads[h], head)
-		for r := 0; r < x.Rows; r++ {
-			copy(c.Concat.Data[r*nh*dv+h*dv:r*nh*dv+(h+1)*dv], head.Data[r*dv:(r+1)*dv])
-		}
+		ar.GroupedAttentionRows(c.Heads, h*a.headDim, c.QQ[h], c.KK[h], c.VV[h], groups, scale)
 	}
-	out := a.Wo.Infer(ar, c.Concat)
-	c.Out = ensureTensor(c.Out, out.Rows, out.Cols)
-	copy(c.Out.Data, out.Data)
+	c.Out = captureTensor(c.Out, a.Wo.Infer(ar, c.Heads))
 	return c.Out
 }
 
@@ -122,19 +113,14 @@ func (a *Attention) InferTreeInto(ar *tensor.Arena, c *TreeCache, x *tensor.Tens
 // every group (machines with no tree) keep their zero attention output,
 // exactly as the full kernel leaves them.
 func (a *Attention) InferTreeRows(ar *tensor.Arena, c *TreeCache, x *tensor.Tensor, dirtyRows []int, dirtyGroups [][]int, groupRows []int) {
-	nh := len(a.Wq)
-	dv := a.headDim
 	scale := 1 / math.Sqrt(float64(a.headDim))
 	for h := range a.Wq {
 		a.Wq[h].InferRows(ar, c.QQ[h], x, dirtyRows)
 		a.Wk[h].InferRows(ar, c.KK[h], x, dirtyRows)
 		a.Wv[h].InferRows(ar, c.VV[h], x, dirtyRows)
-		ar.GroupedAttentionRows(c.Heads[h], c.QQ[h], c.KK[h], c.VV[h], dirtyGroups, scale)
-		for _, r := range groupRows {
-			copy(c.Concat.Data[r*nh*dv+h*dv:r*nh*dv+(h+1)*dv], c.Heads[h].Data[r*dv:(r+1)*dv])
-		}
+		ar.GroupedAttentionRows(c.Heads, h*a.headDim, c.QQ[h], c.KK[h], c.VV[h], dirtyGroups, scale)
 	}
-	a.Wo.InferRows(ar, c.Out, c.Concat, groupRows)
+	a.Wo.InferRows(ar, c.Out, c.Heads, groupRows)
 }
 
 // ensureTensor returns t resized to rows×cols with its storage reused when

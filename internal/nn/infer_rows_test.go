@@ -126,3 +126,63 @@ func TestInferTreeRowsBitParity(t *testing.T) {
 		}
 	}
 }
+
+// TestInferSegAndProbRowMatchOps pins the fused segment attention and the
+// on-demand probability row against the op-by-op composition they replace —
+// per head and segment Softmax(Scale(MatMulT(q_b, k_b))) times v_b, heads
+// side by side through Wo, probabilities averaged over heads — single- and
+// multi-head, float and int8, on a ragged layout with empty segments.
+// Float64bits-equal: the composition materialises every m×n matrix, the
+// inference path none, and no bit may notice.
+func TestInferSegAndProbRowMatchOps(t *testing.T) {
+	qOff := []int{0, 7, 7, 10, 31}
+	kvOff := []int{0, 5, 9, 9, 22}
+	nSeg := len(qOff) - 1
+	for _, heads := range []int{1, 2} {
+		for _, quant := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(40 + heads)))
+			p := NewParams()
+			a := NewMultiHeadAttention(p, "a", rng, 16, heads)
+			if quant && p.QuantizeLinears(nil) == 0 {
+				t.Fatal("no layers quantized")
+			}
+			q := tensor.Randn(rng, qOff[nSeg], 16, 1)
+			kv := tensor.Randn(rng, kvOff[nSeg], 16, 1)
+			ar, ref := &tensor.Arena{}, &tensor.Arena{}
+			got := a.InferSeg(ar, q, kv, qOff, kvOff)
+
+			qq8, qkv8 := a.quantInputs(ref, q, kv)
+			scale := 1 / math.Sqrt(float64(a.headDim))
+			concat := tensor.New(q.Rows, 16)
+			mean := make([]*tensor.Tensor, nSeg)
+			for h := range a.Wq {
+				qq := a.Wq[h].inferPre(ref, q, qq8)
+				kk := a.Wk[h].inferPre(ref, kv, qkv8)
+				vv := a.Wv[h].inferPre(ref, kv, qkv8)
+				for b := 0; b < nSeg; b++ {
+					kb, vb := ref.Rows(kk, kvOff[b], kvOff[b+1]), ref.Rows(vv, kvOff[b], kvOff[b+1])
+					pr := ref.Softmax(ref.Scale(ref.MatMulT(ref.Rows(qq, qOff[b], qOff[b+1]), kb), scale))
+					head := ref.MatMul(pr, vb)
+					for r := 0; r < head.Rows; r++ {
+						copy(concat.Data[(qOff[b]+r)*16+h*a.headDim:], head.Data[r*a.headDim:(r+1)*a.headDim])
+					}
+					if h == 0 {
+						mean[b] = pr
+					} else {
+						mean[b] = ref.Add(mean[b], pr)
+					}
+				}
+			}
+			assertBitsNN(t, "InferSeg", got, a.Wo.Infer(ref, concat))
+			for b := 0; b < nSeg; b++ {
+				if heads > 1 {
+					mean[b] = ref.Scale(mean[b], 1/float64(heads))
+				}
+				for r := qOff[b]; r < qOff[b+1]; r++ {
+					row := a.ProbRow(ar, q, kv, r, kvOff[b], kvOff[b+1])
+					assertBitsNN(t, "ProbRow", row, ref.Rows(mean[b], r-qOff[b], r-qOff[b]+1))
+				}
+			}
+		}
+	}
+}

@@ -17,6 +17,15 @@
 // the large linears to tensor.QuantizedWeight form (biases, norms, and
 // small layers stay float64), after which layer forwards dispatch to the
 // packed int8 GEMM kernels automatically.
+//
+// Every module has a graph Forward (the specification, differentiable) and
+// an arena Infer (infer.go, infer_rows.go). For attention the two differ in
+// what they return: Forward yields the output and the head-mean probability
+// matrix; InferSeg and InferTree yield the output only — each head's fused
+// kernel writes its column slot of one tensor and stores neither scores nor
+// probabilities — and ProbRow computes a single probability row on request.
+// The values agree with Forward to rounding of the GEMM orders (1e-12 in the
+// policy's spec test) and are bit-stable across wave compositions.
 package nn
 
 import (

@@ -281,7 +281,7 @@ func (sc *stepCache) layOut(ic *InferCtx) {
 // no block runs.
 func (sc *stepCache) cachedOut(ic *InferCtx, pmE, vmE *tensor.Tensor) *waveOut {
 	out := &ic.out
-	out.pmAll, out.vmAll, out.crossProbs, out.vmCol = pmE, vmE, nil, sc.vmHead
+	out.pmAll, out.vmAll, out.crossVM, out.crossPM, out.vmCol = pmE, vmE, nil, nil, sc.vmHead
 	return out
 }
 

@@ -33,18 +33,14 @@ type BatchAction struct {
 // vmAll is delimited by the context's pmOff / vmOff.
 type waveOut struct {
 	pmAll, vmAll *tensor.Tensor
-	// crossProbs[b] is segment b's stage-3 VM→PM attention of the last block
-	// (m_b×n_b); nil in NoAttention mode.
-	crossProbs []*tensor.Tensor
+	// crossVM / crossPM are the stacked inputs (VM queries, PM keys) of the
+	// last block's stage-3 VM→PM cross attention, kept so pmLogitsCol can ask
+	// for the selected VM's probability row; nil in NoAttention mode.
+	crossVM, crossPM *tensor.Tensor
 	// vmCol, when non-nil, is the step cache's maintained vm_head output
 	// column (ΣnVM×1); the stage-1 head uses it instead of re-running the
 	// head GEMM.
 	vmCol *tensor.Tensor
-	// scratch for InferSeg probability slices (self-attention probs are
-	// discarded; cross probs live in crossProbs, backed by crossBuf so the
-	// slice header is reused across calls).
-	segProbs []*tensor.Tensor
-	crossBuf []*tensor.Tensor
 }
 
 // extractWave is the full-recompute front end: every request's features are
@@ -100,7 +96,7 @@ func (m *Model) runBlocks(ic *InferCtx, pmAll, vmAll *tensor.Tensor, groups [][]
 	nSeg := len(pmOff) - 1
 	totPM, totVM := pmOff[nSeg], vmOff[nSeg]
 	out := &ic.out
-	out.crossProbs, out.vmCol = nil, nil
+	out.crossVM, out.crossPM, out.vmCol = nil, nil, nil
 	d := pmAll.Cols
 	for bi, blk := range m.blocks {
 		if blk.tree != nil && !(skipFirstTree && bi == 0) {
@@ -129,17 +125,11 @@ func (m *Model) runBlocks(ic *InferCtx, pmAll, vmAll *tensor.Tensor, groups [][]
 		}
 		if blk.pmSelf != nil {
 			// Stage 2: intra-set self-attention, segment-diagonal.
-			pa, sp := blk.pmSelf.InferSeg(ar, pmAll, pmAll, pmOff, pmOff, out.segProbs)
-			out.segProbs = sp
-			pmAll = ar.Add(pmAll, pa)
-			va, sp2 := blk.vmSelf.InferSeg(ar, vmAll, vmAll, vmOff, vmOff, out.segProbs)
-			out.segProbs = sp2
-			vmAll = ar.Add(vmAll, va)
+			pmAll = ar.Add(pmAll, blk.pmSelf.InferSeg(ar, pmAll, pmAll, pmOff, pmOff))
+			vmAll = ar.Add(vmAll, blk.vmSelf.InferSeg(ar, vmAll, vmAll, vmOff, vmOff))
 			// Stage 3: VM -> PM cross attention.
-			ca, cp := blk.cross.InferSeg(ar, vmAll, pmAll, vmOff, pmOff, out.crossBuf)
-			out.crossBuf = cp
-			out.crossProbs = cp
-			vmAll = ar.Add(vmAll, ca)
+			out.crossVM, out.crossPM = vmAll, pmAll
+			vmAll = ar.Add(vmAll, blk.cross.InferSeg(ar, vmAll, pmAll, vmOff, pmOff))
 		}
 		// Dense layers + layer norm: one stacked GEMM chain for the wave.
 		pmAll = blk.pmLN.Infer(ar, ar.Add(pmAll, blk.pmFF.Infer(ar, pmAll)))
@@ -187,9 +177,9 @@ func (m *Model) pmLogitsCol(ic *InferCtx, out *waveOut, vmSel []int) *tensor.Ten
 		}
 		sel := out.vmAll.Data[(vmOff[b]+vm)*d : (vmOff[b]+vm+1)*d]
 		var crossRow []float64
-		if out.crossProbs != nil {
-			cp := out.crossProbs[b]
-			crossRow = cp.Data[vm*cp.Cols : (vm+1)*cp.Cols]
+		if out.crossVM != nil {
+			cross := m.blocks[len(m.blocks)-1].cross
+			crossRow = cross.ProbRow(ar, out.crossVM, out.crossPM, vmOff[b]+vm, pmOff[b], pmOff[b+1]).Data
 		}
 		for i := pmOff[b]; i < pmOff[b+1]; i++ {
 			dst := merged.Data[i*w : (i+1)*w]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"vmr2l/internal/cluster"
@@ -75,8 +76,14 @@ func waveSegs(m *Model, ic *InferCtx, out *waveOut, envs []*sim.Env) []segOut {
 			joint:    m.jointLogitsRow(ic, out, b, nil).Clone(),
 			value:    vals[b],
 		}
-		if out.crossProbs != nil {
-			s.cross = out.crossProbs[b].Clone()
+		if out.crossVM != nil {
+			// The full stage-3 matrix, one on-demand row at a time.
+			cross := m.blocks[len(m.blocks)-1].cross
+			s.cross = tensor.New(vmHi-vmLo, pmHi-pmLo)
+			for r := vmLo; r < vmHi; r++ {
+				row := cross.ProbRow(ar, out.crossVM, out.crossPM, r, pmLo, pmHi)
+				copy(s.cross.Data[(r-vmLo)*row.Cols:], row.Data)
+			}
 		}
 		segs[b] = s
 	}
@@ -212,5 +219,30 @@ func TestInferSteadyStateAllocs(t *testing.T) {
 	run()
 	if allocs := testing.AllocsPerRun(100, run); allocs > 0 {
 		t.Fatalf("steady-state Infer allocates %v times per step", allocs)
+	}
+}
+
+// TestSparseForwardColdAllocBytes pins the memory side of the fused attention
+// kernel: a cold sparse-attention step at the paper's Medium shape (280 PMs,
+// ~2 050 VMs, DModel 32) — fresh context, empty arena, so every buffer the
+// forward needs is allocated inside the measured call — stays under 32 MB.
+// One 2 050 × 2 050 float64 matrix is 33.6 MB, so a score or probability
+// buffer of that shape cannot come back unnoticed (the per-segment buffers of
+// the unfused kernel put this at ~190 MB).
+func TestSparseForwardColdAllocBytes(t *testing.T) {
+	env := batchTestEnv(t, 1, 280, 2050, 2)
+	m := New(Config{DModel: 32, Hidden: 64, Blocks: 2, Extractor: SparseAttention, Action: TwoStage, Seed: 1})
+	ic := NewInferCtx()
+	rng := rand.New(rand.NewSource(2))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := m.Infer(ic, env, rng, SampleOpts{Greedy: true}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 32 {
+		t.Fatalf("cold sparse forward allocated %.1f MB, want < 32 MB", mb)
+	} else {
+		t.Logf("cold sparse forward allocated %.1f MB", mb)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"vmr2l/internal/cluster"
 	"vmr2l/internal/sched"
@@ -212,7 +213,13 @@ func (s Scenario) ParseObjective() (sim.Objective, error) {
 // workload profile: at the high-usage profile the cluster is packed so
 // tight that improving migrations barely exist, which makes every plan
 // trivially empty and the repair path vacuous.
-var registry = map[string]Scenario{}
+//
+// registryMu guards the map: Register is callable at runtime while HTTP
+// handlers (GET /v2/scenarios, session creation) read it.
+var (
+	registryMu sync.RWMutex
+	registry   = map[string]Scenario{}
+)
 
 func register(s Scenario) {
 	if err := Register(s); err != nil {
@@ -229,6 +236,8 @@ func Register(s Scenario) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
+	registryMu.Lock()
+	defer registryMu.Unlock()
 	if _, dup := registry[s.Name]; dup {
 		return fmt.Errorf("scenario: duplicate registration %q", s.Name)
 	}
@@ -365,7 +374,9 @@ func init() {
 
 // Get returns the named scenario.
 func Get(name string) (Scenario, error) {
+	registryMu.RLock()
 	s, ok := registry[name]
+	registryMu.RUnlock()
 	if !ok {
 		return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, Names())
 	}
@@ -383,6 +394,12 @@ func MustGet(name string) Scenario {
 
 // Names lists the registered scenarios, sorted.
 func Names() []string {
+	registryMu.RLock()
+	defer registryMu.RUnlock()
+	return namesLocked()
+}
+
+func namesLocked() []string {
 	out := make([]string, 0, len(registry))
 	for n := range registry {
 		out = append(out, n)
@@ -393,8 +410,10 @@ func Names() []string {
 
 // All returns every registered scenario in Names order.
 func All() []Scenario {
+	registryMu.RLock()
+	defer registryMu.RUnlock()
 	out := make([]Scenario, 0, len(registry))
-	for _, n := range Names() {
+	for _, n := range namesLocked() {
 		out = append(out, registry[n])
 	}
 	return out

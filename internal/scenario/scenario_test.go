@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"vmr2l/internal/sim"
@@ -86,6 +88,60 @@ func TestBurstScenarioPeaksInWindow(t *testing.T) {
 func TestGetUnknownScenario(t *testing.T) {
 	if _, err := Get("no-such"); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// TestRegistryConcurrentRegisterAndList registers scenarios from several
+// goroutines while others list and look up — the runtime Register racing
+// GET /v2/scenarios and session creation. Run under -race -count=10; the
+// registrations are removed again so repeated runs start from the built-ins.
+func TestRegistryConcurrentRegisterAndList(t *testing.T) {
+	const writers, perWriter = 4, 8
+	name := func(w, i int) string { return fmt.Sprintf("concurrent-%d-%d", w, i) }
+	t.Cleanup(func() {
+		registryMu.Lock()
+		defer registryMu.Unlock()
+		for w := 0; w < writers; w++ {
+			for i := 0; i < perWriter; i++ {
+				delete(registry, name(w, i))
+			}
+		}
+	})
+	builtins := len(Names())
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				s := MustGet("static")
+				s.Name = name(w, i)
+				if err := Register(s); err != nil {
+					t.Error(err)
+				}
+				if _, err := Get(s.Name); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if n, a := len(Names()), len(All()); n < builtins || a < builtins {
+					t.Errorf("listing lost scenarios: %d names, %d scenarios, %d built in", n, a, builtins)
+				}
+				if _, err := Get("no-such"); err == nil {
+					t.Error("unknown scenario accepted")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(Names()); got != builtins+writers*perWriter {
+		t.Fatalf("%d scenarios registered, want %d", got, builtins+writers*perWriter)
+	}
+	if err := Register(MustGet(name(0, 0))); err == nil {
+		t.Fatal("duplicate registration accepted")
 	}
 }
 

@@ -26,32 +26,14 @@ type Arena struct {
 	// recycled as backing buffers.
 	views []*Tensor
 	vnext int
-	// tslices are recycled []*Tensor headers (SegmentedAttention's
-	// per-segment probability lists).
-	tslices [][]*Tensor
-	tsnext  int
 	// qacts are recycled quantized-activation buffers (QuantizeActs).
 	qacts []*QuantActs
 	qnext int
 }
 
-// Reset recycles all tensors, views, tensor slices, and quantized-activation
-// buffers handed out since the last Reset.
-func (ar *Arena) Reset() { ar.next, ar.vnext, ar.tsnext, ar.qnext = 0, 0, 0, 0 }
-
-// tensorSlice returns a recycled []*Tensor of length n.
-func (ar *Arena) tensorSlice(n int) []*Tensor {
-	if ar.tsnext == len(ar.tslices) {
-		ar.tslices = append(ar.tslices, make([]*Tensor, n))
-	}
-	s := ar.tslices[ar.tsnext]
-	if cap(s) < n {
-		s = make([]*Tensor, n)
-		ar.tslices[ar.tsnext] = s
-	}
-	ar.tsnext++
-	return s[:n]
-}
+// Reset recycles all tensors, views, and quantized-activation buffers handed
+// out since the last Reset.
+func (ar *Arena) Reset() { ar.next, ar.vnext, ar.qnext = 0, 0, 0 }
 
 // view returns a reusable tensor header whose Data the caller will point at
 // existing storage.
@@ -261,19 +243,6 @@ func (ar *Arena) LayerNorm(a, gamma, beta *Tensor, eps float64) *Tensor {
 	return out
 }
 
-// ConcatCols concatenates a (m×p) and b (m×q) into (m×(p+q)).
-func (ar *Arena) ConcatCols(a, b *Tensor) *Tensor {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: arena ConcatCols rows %d vs %d", a.Rows, b.Rows))
-	}
-	out := ar.Uninit(a.Rows, a.Cols+b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Data[i*out.Cols:], a.Data[i*a.Cols:(i+1)*a.Cols])
-		copy(out.Data[i*out.Cols+a.Cols:], b.Data[i*b.Cols:(i+1)*b.Cols])
-	}
-	return out
-}
-
 // ConcatRows stacks a (p×n) over b (q×n).
 func (ar *Arena) ConcatRows(a, b *Tensor) *Tensor {
 	if a.Cols != b.Cols {
@@ -285,190 +254,250 @@ func (ar *Arena) ConcatRows(a, b *Tensor) *Tensor {
 	return out
 }
 
-// GroupedAttention is the inference-mode block-diagonal attention (see the
-// graph op of the same name): each row attends only within its group. Groups
-// are disjoint, so when the total work is large (batched forwards
-// concatenate every environment's trees into one call) contiguous group
-// ranges fan out across GOMAXPROCS goroutines, each with its own scratch —
-// per group the arithmetic is identical either way, so the result is
-// bit-identical to the serial pass.
-func (ar *Arena) GroupedAttention(q, k, v *Tensor, groups [][]int, scale float64) *Tensor {
-	if q.Rows != k.Rows || q.Rows != v.Rows || q.Cols != k.Cols {
-		panic(fmt.Sprintf("tensor: arena GroupedAttention q %dx%d k %dx%d v %dx%d",
-			q.Rows, q.Cols, k.Rows, k.Cols, v.Rows, v.Cols))
-	}
-	d := q.Cols
-	dv := v.Cols
-	out := ar.Tensor(q.Rows, dv)
-	maxS := 0
-	work := 0
-	for _, g := range groups {
-		if len(g) > maxS {
-			maxS = len(g)
-		}
-		work += len(g) * len(g) * (d + dv)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 || work < mmParallelFlops {
-		scratch := ar.Uninit(1, 2*maxS).Data
-		groupedAttnRange(out, q, k, v, groups, scale, scratch)
-		return out
-	}
-	// The parallel fan-out lives in its own function: goroutine closures
-	// heap-allocate their captures at function entry even on the serial
-	// path, which would cost the hot loop an allocation per call.
-	groupedAttnParallel(out, q, k, v, groups, scale, ar.Uninit(workers, 2*maxS), maxS, workers)
-	return out
+// attn is one head of softmax attention over arena operands: query rows of q
+// attend over rows of k/v and land in columns [col, col+v.Cols) of out, so a
+// module's heads write side by side into one tensor. Its methods are the
+// arena's only softmax-attention loops. No score or probability matrix ever
+// exists: a worker holds the scores of two query rows (2·n floats), turns
+// them into probabilities in place and folds them into the two output rows
+// before it moves on. Every output row is computed from its own query row
+// and its kv rows alone, in a fixed operation order, so its bits do not
+// depend on which rows share a pass, a call, or a goroutine.
+type attn struct {
+	out     *Tensor
+	col     int
+	q, k, v *Tensor
+	scale   float64
 }
 
-// groupedAttnParallel chunks contiguous group ranges across workers; scratch
-// provides 2·maxS floats per worker, allocated by the caller (the arena is
-// not goroutine-safe).
-func groupedAttnParallel(out, q, k, v *Tensor, groups [][]int, scale float64, scratch *Tensor, maxS, workers int) {
+func newAttn(op string, out *Tensor, col int, q, k, v *Tensor, scale float64) attn {
+	if q.Cols != k.Cols || k.Rows != v.Rows || out.Rows != q.Rows || col < 0 || col+v.Cols > out.Cols {
+		panic(fmt.Sprintf("tensor: %s q %dx%d k %dx%d v %dx%d into %dx%d at column %d",
+			op, q.Rows, q.Cols, k.Rows, k.Cols, v.Rows, v.Cols, out.Rows, out.Cols, col))
+	}
+	return attn{out, col, q, k, v, scale}
+}
+
+// fanOut runs f(0) … f(workers-1) on goroutines and waits for them. Callers
+// keep the call in a function of its own: a goroutine closure heap-allocates
+// its captures at function entry even when the serial path is taken, which
+// would cost the hot loop an allocation per call.
+func fanOut(workers int, f func(w int)) {
 	var wg sync.WaitGroup
-	chunk := (len(groups) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, len(groups))
-		if lo >= hi {
-			break
-		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			groupedAttnRange(out, q, k, v, groups[lo:hi], scale,
-				scratch.Data[w*2*maxS:(w+1)*2*maxS])
-		}(w, lo, hi)
+			f(w)
+		}()
 	}
 	wg.Wait()
 }
 
-// groupedAttnRange attends every row of the given groups within its group,
-// writing rows of out (disjoint across groups). scratch holds 2·maxS floats.
-func groupedAttnRange(out, q, k, v *Tensor, groups [][]int, scale float64, scratch []float64) {
-	d, dv := q.Cols, v.Cols
-	half := len(scratch) / 2
-	scores, prow := scratch[:half], scratch[half:]
-	for _, g := range groups {
-		s := len(g)
-		for _, r1 := range g {
-			qr := q.Data[r1*d : (r1+1)*d]
-			for b, r2 := range g {
-				kr := k.Data[r2*d : (r2+1)*d]
-				dp := 0.0
-				for j, qv := range qr {
-					dp += qv * kr[j]
-				}
-				scores[b] = dp * scale
+// mix finishes query rows r0 and r1, whose scaled scores sit in s0 and s1 (s1
+// nil: r0 alone): softmax in place (max, exp, ascending sum, divide), then
+// p·V accumulated in ascending kv order into the zeroed output rows, each V
+// row loaded once for both. kv row j is row kvRows[j] of v, or kv0+j when
+// kvRows is nil. Zero probabilities are skipped, which changes no bit: the
+// accumulator starts at +0 and x + ±0 == x.
+func (a *attn) mix(s0, s1 []float64, r0, r1 int, kvRows []int, kv0 int) {
+	dv, oc, vd := a.v.Cols, a.out.Cols, a.v.Data
+	rowSoftmaxInto(s0, s0)
+	o0 := a.out.Data[r0*oc+a.col : r0*oc+a.col+dv]
+	clear(o0)
+	if s1 == nil {
+		for j, p := range s0 {
+			if p == 0 {
+				continue
 			}
-			rowSoftmaxInto(scores[:s], prow[:s])
-			or := out.Data[r1*dv : (r1+1)*dv]
-			for b, p := range prow[:s] {
-				if p == 0 {
-					continue
-				}
-				vr := v.Data[g[b]*dv : (g[b]+1)*dv]
-				for j, vv := range vr {
-					or[j] += p * vv
-				}
+			r := kv0 + j
+			if kvRows != nil {
+				r = kvRows[j]
+			}
+			for c, vv := range vd[r*dv : (r+1)*dv] {
+				o0[c] += p * vv
 			}
 		}
+		return
+	}
+	rowSoftmaxInto(s1, s1)
+	o1 := a.out.Data[r1*oc+a.col : r1*oc+a.col+dv]
+	clear(o1)
+	for j, p0 := range s0 {
+		p1 := s1[j]
+		if p0 == 0 && p1 == 0 {
+			continue
+		}
+		r := kv0 + j
+		if kvRows != nil {
+			r = kvRows[j]
+		}
+		for c, vv := range vd[r*dv : (r+1)*dv] {
+			o0[c] += p0 * vv
+			o1[c] += p1 * vv
+		}
+	}
+}
+
+// GroupedAttention is the inference-mode block-diagonal attention (see the
+// graph op of the same name): each row attends only within its group, and
+// rows outside every group come out zero.
+func (ar *Arena) GroupedAttention(q, k, v *Tensor, groups [][]int, scale float64) *Tensor {
+	out := ar.Tensor(q.Rows, v.Cols)
+	ar.GroupedAttentionRows(out, 0, q, k, v, groups, scale)
+	return out
+}
+
+// groupsParallel chunks contiguous group ranges across workers, each with
+// its own per-worker slice of the caller-allocated scratch (the arena is not
+// goroutine-safe).
+func (a attn) groupsParallel(groups [][]int, workers int, scratch []float64) {
+	chunk := (len(groups) + workers - 1) / workers
+	per := len(scratch) / workers
+	fanOut(workers, func(w int) {
+		lo, hi := min(w*chunk, len(groups)), min((w+1)*chunk, len(groups))
+		a.groupRange(groups[lo:hi], scratch[w*per:(w+1)*per])
+	})
+}
+
+// groupRange attends every row of the given groups within its group, two
+// rows per pass. The score is the graph op's single-accumulator dot, not
+// dense attention's four lanes, so arena and graph tree attention agree to
+// the bit. scratch holds 2·maxS floats.
+func (a *attn) groupRange(groups [][]int, scratch []float64) {
+	for _, g := range groups {
+		n := len(g)
+		s0, s1 := scratch[:n], scratch[n:2*n]
+		i := 0
+		for ; i+2 <= n; i += 2 {
+			a.groupScores(s0, g[i], g)
+			a.groupScores(s1, g[i+1], g)
+			a.mix(s0, s1, g[i], g[i+1], g, 0)
+		}
+		if i < n {
+			a.groupScores(s0, g[i], g)
+			a.mix(s0, nil, g[i], 0, g, 0)
+		}
+	}
+}
+
+// groupScores fills sc with row r's scaled scores against the rows of g.
+func (a *attn) groupScores(sc []float64, r int, g []int) {
+	d := a.q.Cols
+	qr := a.q.Data[r*d : (r+1)*d]
+	for b, r2 := range g {
+		kr := a.k.Data[r2*d : (r2+1)*d]
+		dp := 0.0
+		for j, qv := range qr {
+			dp += qv * kr[j]
+		}
+		sc[b] = dp * a.scale
 	}
 }
 
 // SegmentedAttention computes scaled-dot-product attention independently per
-// segment: output rows [qOff[b], qOff[b+1]) attend over kv rows [kvOff[b],
+// segment: query rows [qOff[b], qOff[b+1]) attend over kv rows [kvOff[b],
 // kvOff[b+1]) — the block-diagonal structure of batching independent
-// environments. Per segment the result is bit-identical to
-// MatMul(Softmax(Scale(MatMulT(q_b, k_b), scale)), v_b); segments fan out
-// across GOMAXPROCS goroutines when the total work is large (every buffer is
-// allocated from the arena before the goroutines start). Returns the stacked
-// output (q.Rows × v.Cols) and each segment's attention probabilities
-// (m_b×n_b arena tensors, in a recycled slice valid until the next call
-// handing out the same slot after Reset).
-func (ar *Arena) SegmentedAttention(q, k, v *Tensor, qOff, kvOff []int, scale float64) (*Tensor, []*Tensor) {
+// environments; one segment is plain dense attention. The result lands in
+// columns [col, col+v.Cols) of out (out.Rows == q.Rows; the kernel zeroes
+// what it writes). Per segment it is Float64bits-equal to
+// MatMul(Softmax(Scale(MatMulT(q_b, k_b), scale)), v_b) — same 4-lane dot,
+// same softmax, same ascending accumulate — without that composition's m×n
+// intermediates. Above mmParallelFlops the query rows fan out across
+// GOMAXPROCS goroutines in spans of equal weight, a row weighing its
+// segment's kv length: a one-segment wave uses every core and a ragged wave
+// balances, with bits unchanged because rows are independent.
+func (ar *Arena) SegmentedAttention(out *Tensor, col int, q, k, v *Tensor, qOff, kvOff []int, scale float64) {
 	nSeg := len(qOff) - 1
 	if len(kvOff)-1 != nSeg {
 		panic("tensor: SegmentedAttention offset lengths disagree")
 	}
-	if q.Cols != k.Cols || k.Rows != v.Rows {
-		panic(fmt.Sprintf("tensor: SegmentedAttention q %dx%d k %dx%d v %dx%d",
-			q.Rows, q.Cols, k.Rows, k.Cols, v.Rows, v.Cols))
-	}
-	d, dv := q.Cols, v.Cols
-	out := ar.Tensor(q.Rows, dv) // zeroed: matMulInto accumulates
-	probs := ar.tensorSlice(nSeg)
-	scoreCells, work := 0, 0
+	a := newAttn("SegmentedAttention", out, col, q, k, v, scale)
+	maxN, weight := 0, 0
 	for b := 0; b < nSeg; b++ {
-		m, n := qOff[b+1]-qOff[b], kvOff[b+1]-kvOff[b]
-		scoreCells += m * n
-		work += m * n * (d + dv)
-	}
-	scoresFlat := ar.Uninit(1, scoreCells).Data
-	for b := 0; b < nSeg; b++ {
-		probs[b] = ar.Uninit(qOff[b+1]-qOff[b], kvOff[b+1]-kvOff[b])
+		n := kvOff[b+1] - kvOff[b]
+		maxN = max(maxN, n)
+		// +1: a row with nothing to attend over still has to be zeroed.
+		weight += (qOff[b+1] - qOff[b]) * (n + 1)
 	}
 	workers := runtime.GOMAXPROCS(0)
-	if workers > nSeg {
-		workers = nSeg
+	if weight*(q.Cols+v.Cols) < mmParallelFlops {
+		workers = 1
 	}
-	if workers <= 1 || work < mmParallelFlops {
-		segAttnRange(out, q, k, v, qOff, kvOff, scale, scoresFlat, probs, 0, nSeg, 0)
-		return out, probs
+	scratch := ar.Uninit(workers, 2*maxN).Data
+	if workers == 1 {
+		a.segSpan(qOff, kvOff, 0, weight, scratch)
+		return
 	}
-	segAttnParallel(out, q, k, v, qOff, kvOff, scale, scoresFlat, probs, workers)
-	return out, probs
+	a.segParallel(qOff, kvOff, weight, workers, scratch)
 }
 
-// segAttnParallel chunks contiguous segment ranges across workers. Every
-// buffer was allocated by the caller; workers write disjoint rows of out and
-// disjoint probs/scores slots, so no synchronization beyond the join is
-// needed and the result matches the serial pass bit for bit.
-func segAttnParallel(out, q, k, v *Tensor, qOff, kvOff []int, scale float64, scoresFlat []float64, probs []*Tensor, workers int) {
-	nSeg := len(qOff) - 1
-	var wg sync.WaitGroup
-	chunk := (nSeg + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, nSeg)
-		if lo >= hi {
-			break
-		}
-		off := 0
-		for b := 0; b < lo; b++ {
-			off += (qOff[b+1] - qOff[b]) * (kvOff[b+1] - kvOff[b])
-		}
-		wg.Add(1)
-		go func(lo, hi, off int) {
-			defer wg.Done()
-			segAttnRange(out, q, k, v, qOff, kvOff, scale, scoresFlat, probs, lo, hi, off)
-		}(lo, hi, off)
-	}
-	wg.Wait()
+// segParallel hands worker w the w-th of `workers` equal spans of the total
+// row weight and its own 2·maxN floats of the caller-allocated scratch.
+func (a attn) segParallel(qOff, kvOff []int, weight, workers int, scratch []float64) {
+	per := len(scratch) / workers
+	fanOut(workers, func(w int) {
+		a.segSpan(qOff, kvOff, w*weight/workers, (w+1)*weight/workers, scratch[w*per:(w+1)*per])
+	})
 }
 
-// segAttnRange computes segments [lo, hi): scores into scoresFlat at soff,
-// softmax into probs[b], and the probability-weighted value product into
-// out's segment rows.
-func segAttnRange(out, q, k, v *Tensor, qOff, kvOff []int, scale float64, scoresFlat []float64, probs []*Tensor, lo, hi, soff int) {
-	d, dv := q.Cols, v.Cols
-	for b := lo; b < hi; b++ {
+// segSpan computes the query rows whose cumulative weight — (n_b+1) per row
+// of segment b, in row order — starts inside [lo, hi).
+func (a *attn) segSpan(qOff, kvOff []int, lo, hi int, scratch []float64) {
+	base := 0
+	for b := 0; b+1 < len(qOff); b++ {
 		m, n := qOff[b+1]-qOff[b], kvOff[b+1]-kvOff[b]
-		if m == 0 {
-			continue
+		w := n + 1
+		r0 := min((max(lo-base, 0)+w-1)/w, m)
+		r1 := min((max(hi-base, 0)+w-1)/w, m)
+		base += m * w
+		if r0 < r1 {
+			a.segRows(qOff[b]+r0, qOff[b]+r1, kvOff[b], n, scratch)
 		}
-		sc := scoresFlat[soff : soff+m*n]
-		soff += m * n
-		matMulTInto(sc, q.Data[qOff[b]*d:qOff[b+1]*d], k.Data[kvOff[b]*d:kvOff[b+1]*d], m, d, n)
-		for i := range sc {
-			sc[i] *= scale
+	}
+}
+
+// segRows attends query rows [r0, r1) over kv rows [kv0, kv0+n), two rows
+// per pass so each K row load serves both dots. The dot keeps matMulTInto's
+// four lanes and (s0+s1)+(s2+s3) reduction; a lone last row goes through
+// matMulTInto itself.
+func (a *attn) segRows(r0, r1, kv0, n int, scratch []float64) {
+	d, scale := a.q.Cols, a.scale
+	kd := a.k.Data[kv0*d : (kv0+n)*d]
+	s0, s1 := scratch[:n], scratch[n:2*n]
+	r := r0
+	for ; r+2 <= r1; r += 2 {
+		q0 := a.q.Data[r*d : (r+1)*d]
+		q1 := a.q.Data[(r+1)*d : (r+2)*d]
+		for j := range s0 {
+			kr := kd[j*d : (j+1)*d : (j+1)*d]
+			var x0, x1, x2, x3, y0, y1, y2, y3 float64
+			c := 0
+			for ; c+4 <= len(kr); c += 4 {
+				x0 += q0[c] * kr[c]
+				x1 += q0[c+1] * kr[c+1]
+				x2 += q0[c+2] * kr[c+2]
+				x3 += q0[c+3] * kr[c+3]
+				y0 += q1[c] * kr[c]
+				y1 += q1[c+1] * kr[c+1]
+				y2 += q1[c+2] * kr[c+2]
+				y3 += q1[c+3] * kr[c+3]
+			}
+			for ; c < len(kr); c++ {
+				x0 += q0[c] * kr[c]
+				y0 += q1[c] * kr[c]
+			}
+			s0[j] = ((x0 + x1) + (x2 + x3)) * scale
+			s1[j] = ((y0 + y1) + (y2 + y3)) * scale
 		}
-		pr := probs[b].Data
-		for r := 0; r < m; r++ {
-			rowSoftmaxInto(sc[r*n:(r+1)*n], pr[r*n:(r+1)*n])
+		a.mix(s0, s1, r, r+1, nil, kv0)
+	}
+	if r < r1 {
+		matMulTInto(s0, a.q.Data[r*d:(r+1)*d], kd, 1, d, n)
+		for j := range s0 {
+			s0[j] *= scale
 		}
-		matMulInto(out.Data[qOff[b]*dv:qOff[b+1]*dv], pr, v.Data[kvOff[b]*dv:kvOff[b+1]*dv], m, n, dv)
+		a.mix(s0, nil, r, 0, nil, kv0)
 	}
 }
 

@@ -47,7 +47,6 @@ func TestArenaMatchesGraphOps(t *testing.T) {
 		wantClose(t, "Scale", ar.Scale(a, 2.5), Scale(a, 2.5))
 		wantClose(t, "ReLU", ar.ReLU(a), ReLU(a))
 		wantClose(t, "Softmax", ar.Softmax(a), Softmax(a))
-		wantClose(t, "ConcatCols", ar.ConcatCols(a, c), ConcatCols(a, c))
 		wantClose(t, "ConcatRows", ar.ConcatRows(a, c), ConcatRows(a, c))
 		wantClose(t, "Transpose", ar.Transpose(a), Transpose(a))
 		wantClose(t, "MeanRows", ar.MeanRows(a), MeanRows(a))

@@ -68,6 +68,9 @@ func TestGroupedAttentionMatchesMaskedDense(t *testing.T) {
 				t.Fatalf("trial %d arena element %d: got %g want %g", trial, i, fast.Data[i], want.Data[i])
 			}
 		}
+		// The arena kernel pairs rows and shares V loads but keeps the graph
+		// op's per-row operation order: same bits, not just 1e-12.
+		assertTensorBits(t, "arena vs graph op", fast, got)
 	}
 }
 

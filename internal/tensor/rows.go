@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Row-sliced kernel entry points for the incremental inference path: each
@@ -162,38 +163,31 @@ func (ar *Arena) LayerNormRows(dst, a, gamma, beta *Tensor, eps float64, rows []
 	}
 }
 
-// GroupedAttentionRows recomputes the output rows of the given groups of a
-// cached GroupedAttention result in place. Groups are disjoint and each
-// row's attention spans only its group, so recomputing the groups that
+// GroupedAttentionRows recomputes the given groups' rows of a grouped
+// attention result in place, into columns [col, col+v.Cols) of out (one
+// head's slot of a module's concatenated heads). Groups are disjoint and
+// each row's attention spans only its group, so recomputing the groups that
 // contain a changed row (from patched q/k/v) leaves every other row's bits
-// untouched and reproduces the full kernel's values exactly (the full pass
-// computes each group independently too, serial or parallel). out rows of
-// the given groups are zeroed first because the kernel accumulates.
-func (ar *Arena) GroupedAttentionRows(out, q, k, v *Tensor, groups [][]int, scale float64) {
-	if q.Rows != k.Rows || q.Rows != v.Rows || q.Cols != k.Cols {
-		panic(fmt.Sprintf("tensor: GroupedAttentionRows q %dx%d k %dx%d v %dx%d",
-			q.Rows, q.Cols, k.Rows, k.Cols, v.Rows, v.Cols))
+// untouched and reproduces the full pass exactly — the full pass,
+// GroupedAttention, is this call over every group into a zeroed tensor. When
+// the work is large (batched forwards concatenate every environment's trees
+// into one call) contiguous group ranges fan out across GOMAXPROCS
+// goroutines, each with its own scratch; per group the arithmetic is the
+// same either way.
+func (ar *Arena) GroupedAttentionRows(out *Tensor, col int, q, k, v *Tensor, groups [][]int, scale float64) {
+	if q.Rows != k.Rows {
+		panic(fmt.Sprintf("tensor: GroupedAttentionRows q %dx%d k %dx%d", q.Rows, q.Cols, k.Rows, k.Cols))
 	}
-	if out.Rows != q.Rows || out.Cols != v.Cols {
-		panic(fmt.Sprintf("tensor: GroupedAttentionRows out %dx%d for %d rows of %d",
-			out.Rows, out.Cols, q.Rows, v.Cols))
-	}
-	dv := v.Cols
-	maxS := 0
+	a := newAttn("GroupedAttentionRows", out, col, q, k, v, scale)
+	maxS, work := 0, 0
 	for _, g := range groups {
-		if len(g) > maxS {
-			maxS = len(g)
-		}
-		for _, r := range g {
-			or := out.Data[r*dv : (r+1)*dv : (r+1)*dv]
-			for j := range or {
-				or[j] = 0
-			}
-		}
+		maxS = max(maxS, len(g))
+		work += len(g) * len(g) * (q.Cols + v.Cols)
 	}
-	if maxS == 0 {
+	workers := min(runtime.GOMAXPROCS(0), len(groups))
+	if workers <= 1 || work < mmParallelFlops {
+		a.groupRange(groups, ar.Uninit(1, 2*maxS).Data)
 		return
 	}
-	scratch := ar.Uninit(1, 2*maxS).Data
-	groupedAttnRange(out, q, k, v, groups, scale, scratch)
+	a.groupsParallel(groups, workers, ar.Uninit(workers, 2*maxS).Data)
 }

@@ -215,7 +215,7 @@ func TestGroupedAttentionRowsBitParity(t *testing.T) {
 		for _, g := range dirty {
 			corruptRows(cached, g)
 		}
-		ar.GroupedAttentionRows(cached, q, k, v, dirty, scale)
+		ar.GroupedAttentionRows(cached, 0, q, k, v, dirty, scale)
 		assertTensorBits(t, "GroupedAttentionRows", cached, want)
 	}
 }

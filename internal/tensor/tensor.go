@@ -9,6 +9,21 @@
 // parents and a backward closure; Backward() runs a topological sort and
 // accumulates gradients into .Grad. Tensors are 2-D (rows × cols); vectors
 // are 1×n or n×1 as convenient.
+//
+// Inference runs the same arithmetic on an Arena (arena.go) without a graph.
+// Attention there is one fused row kernel (attn): for two query rows at a
+// time it computes the scores into 2·n floats of worker-local scratch,
+// softmaxes them in place and accumulates p·V straight into the output rows,
+// so no m×n score or probability matrix is ever stored. A caller that needs
+// probabilities asks for the rows it reads, op by op
+// (Softmax(Scale(MatMulT(q_row, k)))). Every output element keeps the
+// operation order of that op-by-op composition — four-lane dot reduced
+// (s0+s1)+(s2+s3), × scale, max → exp → ascending sum → divide,
+// ascending-j accumulate into a zeroed row — which is why fusing changed no
+// bit. Large calls fan out over GOMAXPROCS by query rows weighted by their
+// segment's kv length (SegmentedAttention) or by group ranges
+// (GroupedAttention); rows are independent, so serial and parallel results
+// are Float64bits-equal.
 package tensor
 
 import (
