@@ -1,10 +1,10 @@
 // Package vmr2l_test hosts the benchmark harness that regenerates every
-// table and figure of the paper (DESIGN.md section 3). Each benchmark runs
-// one experiment in quick mode and reports its wall time; run
+// table and figure of the paper (internal/bench). Each benchmark runs one
+// experiment in quick mode and reports its wall time; run
 //
 //	go test -bench=. -benchmem -benchtime=1x
 //
-// to regenerate all artifacts, or cmd/vmr2l-bench for printed reports.
+// to run every experiment, or cmd/vmr2l-bench for printed reports.
 package vmr2l_test
 
 import (
@@ -26,15 +26,6 @@ func runExperiment(b *testing.B, id string) {
 			b.Fatal(err)
 		}
 		rep.Fprint(io.Discard)
-	}
-}
-
-// BenchmarkHotpath runs the hot-path microbenchmark suite (Step, Extract,
-// Clone/Fork, policy forward, fig9 quick end-to-end) as sub-benchmarks; the
-// same measurements back BENCH_hotpath.json via vmr2l-bench -hotpath.
-func BenchmarkHotpath(b *testing.B) {
-	for _, nb := range bench.HotpathBenchmarks() {
-		b.Run(nb.Name, nb.F)
 	}
 }
 

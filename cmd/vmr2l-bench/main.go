@@ -1,27 +1,20 @@
-// Command vmr2l-bench regenerates the paper's tables and figures:
+// Command vmr2l-bench regenerates the paper's tables and figures and runs
+// the robustness suites:
 //
 //	vmr2l-bench -exp fig9          # one experiment
 //	vmr2l-bench -exp all           # everything, in paper order
 //	vmr2l-bench -exp fig9 -full    # larger datasets/budgets (slow)
 //	vmr2l-bench -list              # available experiment ids
-//	vmr2l-bench -hotpath           # hot-path microbenchmarks -> BENCH_hotpath.json
-//	vmr2l-bench -batch             # batched-vs-sequential rollout sweep -> BENCH_batch.json
-//	vmr2l-bench -load              # serving loadgen (scheduler vs per-request) -> BENCH_serving.json
-//	vmr2l-bench -chaos             # failure scenarios + shed overload -> BENCH_chaos.json
-//	vmr2l-bench -fleet             # multi-node replica-kill failover -> BENCH_fleet.json
-//	vmr2l-bench -quant             # int8 kernel speedups + FR parity -> BENCH_quant.json
-//	vmr2l-bench -incr              # incremental-inference parity + step speedup -> BENCH_incr.json
 //	vmr2l-bench -scenario diurnal  # live-cluster session pipeline (solve + churn + repair)
 //	vmr2l-bench -scenarios         # available scenario names
+//	vmr2l-bench -chaos             # failure scenarios + shed overload -> BENCH_chaos.json
+//	vmr2l-bench -fleet             # multi-node replica-kill failover -> BENCH_fleet.json
 //
-// Reports are printed as aligned text tables; EXPERIMENTS.md interprets them
-// against the paper's numbers. The -hotpath suite measures the serving hot
-// path (Step, Extract, Clone/Fork, policy forward, one end-to-end fig9 quick
-// run) and updates BENCH_hotpath.json: the baseline section is pinned on
-// first write, the current section tracks every run since. The -scenario
-// pipeline runs the full serving stack in-process — session registration
-// from the named scenario, scenario churn streamed while a session-scoped
-// job solves, and plan validation/repair against the drifted state.
+// Reports are printed as aligned text tables. The -scenario pipeline runs
+// the full serving stack in-process — session registration from the named
+// scenario, scenario churn streamed while a session-scoped job solves, and
+// plan validation/repair against the drifted state. Latency is measured by
+// one instrument, go run ./benchmarks/e2e (see benchmarks/e2e/README.md).
 package main
 
 import (
@@ -42,33 +35,15 @@ func main() {
 		full       = flag.Bool("full", false, "use the larger (slow) experiment scale")
 		seed       = flag.Int64("seed", 1, "random seed")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		hotpath    = flag.Bool("hotpath", false, "run the hot-path microbenchmark suite and update -hotpath-out")
-		hotOut     = flag.String("hotpath-out", "BENCH_hotpath.json", "artifact path for -hotpath")
-		hotCheck   = flag.Bool("hotpath-check", false, "with -hotpath: exit 1 when the fresh numbers regress vs the pinned baseline (>25% ns/op or any allocs/op growth)")
 		scen       = flag.String("scenario", "", "run the live-cluster session pipeline for this scenario (see -scenarios)")
 		scenMins   = flag.Int("minutes", 30, "simulated minutes of churn streamed during the -scenario solve")
 		scenarios  = flag.Bool("scenarios", false, "list scenario names and exit")
-		shards     = flag.Bool("shards", false, "run the scale-out shard scaling sweep (1/2/4/8/16 shards x engines) and write -shards-out")
-		shardsScen = flag.String("shards-scenario", "large-static", "scenario swept by -shards")
-		shardsOut  = flag.String("shards-out", "BENCH_shard.json", "artifact path for -shards")
-		batch      = flag.Bool("batch", false, "run the batch-vs-sequential rollout sweep (1/2/4/8 envs) and write -batch-out")
-		batchOut   = flag.String("batch-out", "BENCH_batch.json", "artifact path for -batch")
-		batchCheck = flag.Bool("batch-check", false, "with -batch: exit 1 when the batched wave allocates or (GOMAXPROCS>=4) the 8-env speedup is below 2x")
-		load       = flag.Bool("load", false, "run the serving loadgen (concurrent jobs through the continuous-batching scheduler vs per-request serving) and update -load-out")
-		loadOut    = flag.String("load-out", "BENCH_serving.json", "artifact path for -load")
-		loadCheck  = flag.Bool("load-check", false, "with -load: exit 1 on step-parity violation, (GOMAXPROCS>=4) <1.5x speedup at concurrency>=8, or >25% p99/steps-per-sec drift vs the pinned reference")
 		chaos      = flag.Bool("chaos", false, "run the chaos benchmark (failure scenarios vs healthy twins + degraded-mode shed overload) and update -chaos-out")
 		chaosOut   = flag.String("chaos-out", "BENCH_chaos.json", "artifact path for -chaos")
 		chaosCheck = flag.Bool("chaos-check", false, "with -chaos: exit 1 when the pinned chaos gates fail (invariant violation, evacuation completion below the pin, FR drift above the pin, or shed accounting broken)")
 		fleet      = flag.Bool("fleet", false, "run the node-level chaos benchmark (3 coordinated replicas, one killed mid-advance under concurrent jobs, sessions re-homed from snapshots) and update -fleet-out")
 		fleetOut   = flag.String("fleet-out", "BENCH_fleet.json", "artifact path for -fleet")
 		fleetCheck = flag.Bool("fleet-check", false, "with -fleet: exit 1 when a pinned fleet gate fails (failover accounting broken, re-homed state not bit-identical to the snapshot/twin, a job unaccounted, or the fleet unserviceable after failover)")
-		quant      = flag.Bool("quant", false, "run the int8 quantization sweep (kernel speedups + float/int8 FR parity across the scenario registry) and write -quant-out")
-		quantOut   = flag.String("quant-out", "BENCH_quant.json", "artifact path for -quant")
-		quantCheck = flag.Bool("quant-check", false, "with -quant: exit 1 when a kernel misses its pinned speedup, allocates, or a scenario's float/int8 FR gap exceeds the pinned epsilon")
-		incr       = flag.Bool("incr", false, "run the incremental-inference sweep (exact-trajectory parity across the scenario registry + single-core step speedup on large mappings) and write -incr-out")
-		incrOut    = flag.String("incr-out", "BENCH_incr.json", "artifact path for -incr")
-		incrCheck  = flag.Bool("incr-check", false, "with -incr: exit 1 when an incremental trajectory diverges from the full recompute, a counter loses a forward, or a >=1k-PM bar misses its pinned 2x single-core speedup / allocates / never hits the cache")
 	)
 	flag.Parse()
 	if *list {
@@ -91,77 +66,6 @@ func main() {
 		}
 		rep.Fprint(os.Stdout)
 		fmt.Printf("elapsed: %s\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *shards {
-		start := time.Now()
-		rep, art, err := bench.RunShardBench(*shardsScen, *seed, func(s string) { log.Printf("shards: %s", s) })
-		if err != nil {
-			log.Fatalf("shards: %v", err)
-		}
-		if err := bench.WriteShardArtifact(*shardsOut, art); err != nil {
-			log.Fatalf("shards: %v", err)
-		}
-		rep.Fprint(os.Stdout)
-		fmt.Printf("wrote %s\nelapsed: %s\n", *shardsOut, time.Since(start).Round(time.Millisecond))
-		return
-	}
-	if *batch {
-		start := time.Now()
-		rep := bench.RunBatchBench(func(s string) { log.Printf("batch: %s", s) })
-		if err := bench.WriteBatchArtifact(*batchOut, rep); err != nil {
-			log.Fatalf("batch: %v", err)
-		}
-		rep.Fprint(os.Stdout)
-		fmt.Printf("wrote %s\nelapsed: %s\n", *batchOut, time.Since(start).Round(time.Millisecond))
-		if *batchCheck {
-			for _, s := range bench.BatchGateSkips(rep) {
-				fmt.Printf("note: %s\n", s)
-			}
-			if regs := bench.BatchRegressions(rep); len(regs) > 0 {
-				for _, r := range regs {
-					log.Printf("REGRESSION: %s", r)
-				}
-				log.Fatalf("batch: %d regression(s)", len(regs))
-			}
-			fmt.Println("batch gate: ok")
-		}
-		return
-	}
-	if *load {
-		start := time.Now()
-		// Snapshot the gate reference before the update replaces the
-		// artifact's current section with this run.
-		var prev bench.ServeArtifact
-		if *loadCheck {
-			var err error
-			if prev, err = bench.LoadServeArtifact(*loadOut); err != nil {
-				log.Fatalf("load: %v", err)
-			}
-		}
-		rep, err := bench.RunServeLoad(func(s string) { log.Printf("load: %s", s) })
-		if err != nil {
-			log.Fatalf("load: %v", err)
-		}
-		art, err := bench.UpdateServeArtifact(*loadOut, rep)
-		if err != nil {
-			log.Fatalf("load: %v", err)
-		}
-		art.Fprint(os.Stdout)
-		fmt.Printf("wrote %s\nelapsed: %s\n", *loadOut, time.Since(start).Round(time.Millisecond))
-		if *loadCheck {
-			ref := prev.GateReference()
-			for _, s := range bench.ServeGateSkips(rep, ref) {
-				fmt.Printf("note: %s\n", s)
-			}
-			if regs := bench.ServeRegressions(ref, rep); len(regs) > 0 {
-				for _, r := range regs {
-					log.Printf("REGRESSION: %s", r)
-				}
-				log.Fatalf("load: %d regression(s)", len(regs))
-			}
-			fmt.Println("serving gate: ok")
-		}
 		return
 	}
 	if *chaos {
@@ -207,86 +111,6 @@ func main() {
 				log.Fatalf("fleet: %d gate failure(s)", len(regs))
 			}
 			fmt.Println("fleet gate: ok")
-		}
-		return
-	}
-	if *quant {
-		start := time.Now()
-		rep, err := bench.RunQuantBench(func(s string) { log.Printf("quant: %s", s) })
-		if err != nil {
-			log.Fatalf("quant: %v", err)
-		}
-		if err := bench.WriteQuantArtifact(*quantOut, rep); err != nil {
-			log.Fatalf("quant: %v", err)
-		}
-		rep.Fprint(os.Stdout)
-		fmt.Printf("wrote %s\nelapsed: %s\n", *quantOut, time.Since(start).Round(time.Millisecond))
-		if *quantCheck {
-			for _, s := range bench.QuantGateSkips(rep) {
-				fmt.Printf("note: %s\n", s)
-			}
-			if regs := bench.QuantRegressions(rep); len(regs) > 0 {
-				for _, r := range regs {
-					log.Printf("REGRESSION: %s", r)
-				}
-				log.Fatalf("quant: %d gate failure(s)", len(regs))
-			}
-			fmt.Println("quant gate: ok")
-		}
-		return
-	}
-	if *incr {
-		start := time.Now()
-		rep, err := bench.RunIncrBench(func(s string) { log.Printf("incr: %s", s) })
-		if err != nil {
-			log.Fatalf("incr: %v", err)
-		}
-		if err := bench.WriteIncrArtifact(*incrOut, rep); err != nil {
-			log.Fatalf("incr: %v", err)
-		}
-		rep.Fprint(os.Stdout)
-		fmt.Printf("wrote %s\nelapsed: %s\n", *incrOut, time.Since(start).Round(time.Millisecond))
-		if *incrCheck {
-			if regs := bench.IncrRegressions(rep); len(regs) > 0 {
-				for _, r := range regs {
-					log.Printf("REGRESSION: %s", r)
-				}
-				log.Fatalf("incr: %d gate failure(s)", len(regs))
-			}
-			fmt.Println("incr gate: ok")
-		}
-		return
-	}
-	if *hotpath {
-		// Snapshot the gate reference before the update overwrites the
-		// artifact's current section with this run.
-		var prev bench.HotpathArtifact
-		if *hotCheck {
-			var err error
-			if prev, err = bench.LoadHotpathArtifact(*hotOut); err != nil {
-				log.Fatalf("hotpath: %v", err)
-			}
-		}
-		rep := bench.RunHotpath(func(name string) { log.Printf("hotpath: %s", name) })
-		art, err := bench.UpdateHotpathArtifact(*hotOut, rep)
-		if err != nil {
-			log.Fatalf("hotpath: %v", err)
-		}
-		art.Fprint(os.Stdout)
-		fmt.Printf("wrote %s\n", *hotOut)
-		if *hotCheck {
-			ref := prev.GateReference()
-			if regs := bench.HotpathRegressions(ref, rep, 0); len(regs) > 0 {
-				for _, r := range regs {
-					log.Printf("REGRESSION: %s", r)
-				}
-				// Name both environments so a gate diff is attributable: a
-				// toolchain or core-count change between the pinned reference
-				// and this run explains drift that a code change does not.
-				log.Fatalf("hotpath: %d regression(s) vs the pinned reference (reference: %s GOMAXPROCS=%d; this run: %s GOMAXPROCS=%d)",
-					len(regs), ref.GoVersion, ref.GoMaxProcs, rep.GoVersion, rep.GoMaxProcs)
-			}
-			fmt.Println("hotpath regression gate: ok")
 		}
 		return
 	}

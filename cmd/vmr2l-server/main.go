@@ -24,7 +24,6 @@
 //	     -d '{"mnl":10,"solver":"vmr2l","mapping":{...}}'   # -> {"id":"job-1",...}
 //	curl -s localhost:8080/v2/jobs/job-1
 //	curl -s -X POST localhost:8080/v2/reschedule -d '{"mnl":10,"mapping":{...}}'
-//	curl -s -X POST localhost:8080/v1/reschedule -d '{"mnl":10,"mapping":{...}}'  # compat shim
 //
 // Live cluster sessions (the deployment loop of paper Fig. 5):
 //

@@ -36,12 +36,12 @@
 // live cluster, so the returned plan always applies cleanly. The
 // shard.Portfolio and shard.Solver wrappers register like any engine; the
 // service accepts "shards"/"portfolio" on every v2 job and reports
-// per-shard stats; "vmr2l-bench -shards" records the scaling sweep in
-// BENCH_shard.json. See README.md's "Scaling out".
+// per-shard stats. See README.md's "Scaling out".
 //
 // # Performance
 //
-// The serving hot path is allocation-free in steady state: the cluster
+// The serving hot path is allocation-free in steady state at GOMAXPROCS=1
+// (above it, each kernel fan-out allocates a fixed handful): the cluster
 // keeps incremental fragment/free-resource aggregates (O(1) FragRate),
 // episode resets and forks restore state in place via cluster.CopyFrom,
 // sim.ExtractInto refills flat feature buffers, and inference runs on a
@@ -49,10 +49,8 @@
 // computed block-diagonally per PM tree. Training shares the same
 // cache/register-blocked matmul kernels and recycles minibatch graph storage
 // through a trainer-owned tensor.GraphPool handed to the graph's inputs (no
-// process-wide state). The microbenchmark suite behind BENCH_hotpath.json
-// lives in internal/bench (run "vmr2l-bench -hotpath" or
-// "go test -bench=Hotpath ."); see README.md's Performance section for how
-// to read the artifact.
+// process-wide state). Latency has one instrument, "go run
+// ./benchmarks/e2e" (see its README.md and README.md's Benchmarks section).
 //
 // # Inference: one specification, one wave, one front end
 //
@@ -75,7 +73,8 @@
 // element; its results are Float64bits-equal to the unfused composition. B=1 is a wave of
 // one: Model.Infer, Act and Probabilities, like InferBatch, ActBatch and
 // ValuesBatch, are typed wrappers that build a wave on a policy.InferCtx
-// (one arena, one buffer set, one pool; zero steady-state allocations).
+// (one arena, one buffer set, one pool; zero steady-state allocations at
+// GOMAXPROCS=1).
 // Each kernel computes every output row independently, so a row has the same
 // bits alone and inside any ragged wave — the property tests compare the
 // wave to the specification and each row to itself across wave
@@ -89,10 +88,7 @@
 // mcts.Solver.Prior (any mcts.ValuePrior; mcts.CriticPrior wraps a bare
 // model) scores root candidates with one critic wave, and shard solves route
 // a single policy engine through shard.BatchSolver so all shards share each
-// wave's forward. The batching win scales with GOMAXPROCS (stacked GEMMs
-// cross the kernels' parallel threshold); "vmr2l-bench -batch" records the
-// one-wave-vs-B=1-waves sweep in BENCH_batch.json and "-batch-check" gates
-// it.
+// wave's forward.
 //
 // # Batched serving
 //
@@ -110,12 +106,7 @@
 // under -race across action modes and GOMAXPROCS — and cancelling a
 // queued request drops only that row, never its wavemates.
 // vmr2l-server wires this up behind -ckpt (knobs -wave-rows/-wave-wait;
-// counters at /debug/vmr2l/serving on the -pprof listener), and
-// "vmr2l-bench -load" replays concurrent greedy episodes through the
-// scheduler and the per-request baseline, recording p50/p99 latency,
-// steps/sec, and achieved wave sizes in BENCH_serving.json;
-// "-load-check" gates step parity, the multi-core speedup bar, and drift
-// against the pinned reference.
+// counters at /debug/vmr2l/serving on the -pprof listener).
 //
 // # Int8 inference & checkpoints
 //
@@ -134,11 +125,10 @@
 // stream without the magic is rejected with an error that says how to
 // convert a legacy file. "vmr2l-server doctor" is the preflight
 // (checkpoint/shapes/engines/port; non-zero exit on failure), "vmr2l-train
-// -int8" and "vmr2l-eval -export" produce quantized exports, and "vmr2l-bench -quant" records the int8
-// kernel speedups (pinned >=1.5x single-core at the wide serving shapes)
-// plus fragmentation-rate parity of the quantized policy across the entire
-// scenario registry (mean gap <= 0.02 over 3 replicas per scenario) in
-// BENCH_quant.json; "-quant-check" gates it in CI.
+// -int8" and "vmr2l-eval -export" produce quantized exports. A go test in
+// internal/bench gates fragmentation-rate parity of the quantized policy
+// across the entire scenario registry (mean gap <= 0.02 over 3 replicas
+// per scenario).
 //
 // # Incremental inference
 //
@@ -163,11 +153,8 @@
 // routes Env-carrying rollout requests through LRU-bounded per-session
 // incremental contexts (Options.Incremental: Auto engages for the fully
 // incremental extractor=none models) and surfaces incr_* counters at
-// /debug/vmr2l/serving. "vmr2l-bench -incr" records exact-trajectory
-// parity on every registry scenario (float and int8) and the single-core
-// per-step speedup bars (pinned >=2x at >=1k PMs, zero steady-state
-// allocations) in BENCH_incr.json; "-incr-check" gates it in CI
-// (incr-smoke job).
+// /debug/vmr2l/serving. A go test in internal/bench gates exact-trajectory
+// parity on every registry scenario, float and int8.
 //
 // # Multi-node serving & failover
 //

@@ -1,12 +1,13 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md section 3 for the experiment index). Each
-// experiment is a pure function from Options to a Report of printable
-// tables; cmd/vmr2l-bench and the root bench_test.go are thin wrappers.
+// evaluation (Registry is the experiment index). Each experiment is a pure
+// function from Options to a Report of printable tables; cmd/vmr2l-bench and
+// the root bench_test.go are thin wrappers. The package also holds the
+// robustness suites behind BENCH_chaos.json and BENCH_fleet.json.
 //
 // Absolute numbers differ from the paper — the substrate is a scaled
 // simulator, not ByteDance's clusters — but each report reproduces the
 // paper's comparisons: which method wins, approximate factors, and where
-// crossovers occur. EXPERIMENTS.md records paper-vs-measured per artifact.
+// crossovers occur.
 package bench
 
 import (

@@ -270,8 +270,23 @@ func runChaosScenario(name string, cycles, minutes int) (ChaosScenarioResult, er
 	return res, nil
 }
 
+// shedFixture is the shed overload's serving state: one fragmented
+// tiny-profile mapping and a small untrained policy model (the forward's
+// cost does not depend on the weights' values).
+type shedFixture struct {
+	c     *cluster.Cluster
+	model *policy.Model
+}
+
+func newShedFixture() *shedFixture {
+	return &shedFixture{
+		c:     genMaps("tiny", 1, 7)[0],
+		model: policy.New(agentSpec(policy.TwoStage, policy.SparseAttention, 7)),
+	}
+}
+
 // chaosShedEnv builds a fresh per-row environment on the shared fixture.
-func chaosShedEnv(fx *hotFixture) *sim.Env {
+func chaosShedEnv(fx *shedFixture) *sim.Env {
 	return sim.New(fx.c.Clone(), sim.Config{MNL: 4, Obj: sim.FR16()})
 }
 
@@ -287,7 +302,7 @@ func runChaosShed(progress func(string)) (ChaosShedResult, error) {
 		shedHeld  = shedDepth
 		shedBurst = 8
 	)
-	fx := newHotFixture()
+	fx := newShedFixture()
 	opts := policy.SampleOpts{Greedy: true}
 	var res ChaosShedResult
 
@@ -412,7 +427,7 @@ func RunChaos(progress func(string)) (ChaosReport, error) {
 }
 
 // ChaosArtifact is the on-disk BENCH_chaos.json: the pinned first
-// measurement and the latest one, mirroring BENCH_serving.json.
+// measurement and the latest one.
 type ChaosArtifact struct {
 	Baseline *ChaosReport `json:"baseline,omitempty"`
 	Current  *ChaosReport `json:"current,omitempty"`

@@ -11,6 +11,129 @@ import (
 	"vmr2l/internal/sim"
 )
 
+// Incremental-inference parity: on every registry scenario, a greedy episode
+// driven by an incremental context (policy.InferCtx.SetIncremental) must pick
+// the identical action at every step as a plain context, in float and int8.
+// The step cache is bit-exact, so the two are one episode. Every forward is
+// counted as a hit, miss or fallback. Fleet-scale scenarios (10k PMs) run on
+// one extracted shard whose label says so: the full-path reference at 10k
+// PMs costs minutes per episode.
+
+// incrParityResult is one scenario×variant exact-trajectory comparison.
+type incrParityResult struct {
+	Scenario string // registry name, "[shards..]"-suffixed when extracted
+	Variant  string // extractor/numeric-path, e.g. "none/int8"
+	PMs, VMs int
+	Steps    int
+	// Match is true when the incremental and plain contexts picked the same
+	// (vm, pm) at every step and ended on the same fragment rate.
+	Match   bool
+	FinalFR float64
+	// Cache outcome counters of the incremental context.
+	Hits, Misses, Fallbacks uint64
+}
+
+// incrParitySteps caps the compared episode length per scenario.
+const incrParitySteps = 24
+
+// incrVariants are the model variants every registry scenario is swept
+// with: the fully incremental extractor in both numeric paths, and the tree
+// extractor (partial coverage: extract + embeddings + block-0 tree) in
+// float.
+var incrVariants = []struct {
+	name      string
+	extractor policy.ExtractorMode
+	quantize  bool
+}{
+	{"none/float", policy.NoAttention, false},
+	{"none/int8", policy.NoAttention, true},
+	{"sparse/float", policy.SparseAttention, false},
+}
+
+// measureIncrParity plays twin greedy episodes — one incremental context,
+// one plain — on identical mappings and compares every action. Fleet-scale
+// scenarios play on the first parity shard (see quantParityClusters).
+func measureIncrParity(sc scenario.Scenario, ex policy.ExtractorMode, quantize bool, variant string) (incrParityResult, error) {
+	cs, label, err := quantParityClusters(sc)
+	if err != nil {
+		return incrParityResult{}, err
+	}
+	c := cs[0]
+	obj, err := sc.ParseObjective()
+	if err != nil {
+		return incrParityResult{}, err
+	}
+	cfg := policy.DefaultConfig()
+	cfg.Extractor = ex
+	m := policy.New(cfg)
+	if quantize && m.Quantize() == 0 {
+		return incrParityResult{}, fmt.Errorf("model quantized no layers")
+	}
+	mnl := min(sc.MNL, incrParitySteps)
+	envI := sim.New(c.Clone(), sim.Config{MNL: mnl, Obj: obj})
+	envF := sim.New(c.Clone(), sim.Config{MNL: mnl, Obj: obj})
+	icI, icF := policy.NewInferCtx(), policy.NewInferCtx()
+	icI.SetIncremental(true)
+
+	res := incrParityResult{Scenario: label, Variant: variant,
+		PMs: len(c.PMs), VMs: len(c.VMs), Match: true}
+	for !envI.Done() && !envF.Done() {
+		vmI, pmI, errI := m.Infer(icI, envI, rand.New(rand.NewSource(1)), policy.SampleOpts{Greedy: true})
+		vmF, pmF, errF := m.Infer(icF, envF, rand.New(rand.NewSource(1)), policy.SampleOpts{Greedy: true})
+		if (errI != nil) != (errF != nil) || vmI != vmF || pmI != pmF {
+			res.Match = false
+			break
+		}
+		if errI != nil {
+			break
+		}
+		if _, _, err := envI.Step(vmI, pmI); err != nil {
+			return res, err
+		}
+		if _, _, err := envF.Step(vmF, pmF); err != nil {
+			return res, err
+		}
+		res.Steps++
+	}
+	if envI.FragRate() != envF.FragRate() {
+		res.Match = false
+	}
+	res.FinalFR = envI.FragRate()
+	st := icI.IncrStats()
+	res.Hits, res.Misses, res.Fallbacks = st.Hits, st.Misses, st.Fallbacks
+	return res, nil
+}
+
+// TestIncrParityEveryScenario is the incremental-inference gate: on every
+// registry scenario and variant the incremental trajectory equals the full
+// recompute, and the cache counters account for every forward — one Infer
+// per step, plus at most one final Infer that ended the episode (no
+// migratable VM).
+func TestIncrParityEveryScenario(t *testing.T) {
+	for _, sc := range parityScenarios(t) {
+		for _, v := range incrVariants {
+			t.Run(sc.Name+"/"+v.name, func(t *testing.T) {
+				t.Parallel()
+				pr, err := measureIncrParity(sc, v.extractor, v.quantize, v.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !pr.Match {
+					t.Errorf("%s: incremental trajectory diverged from full recompute: %+v", pr.Scenario, pr)
+				}
+				if pr.Steps == 0 {
+					t.Errorf("%s: parity episode took no steps", pr.Scenario)
+				}
+				sum := pr.Hits + pr.Misses + pr.Fallbacks
+				if sum < uint64(pr.Steps) || sum > uint64(pr.Steps)+1 {
+					t.Errorf("%s: counters (%d+%d+%d) don't cover %d steps (silent loss)",
+						pr.Scenario, pr.Hits, pr.Misses, pr.Fallbacks, pr.Steps)
+				}
+			})
+		}
+	}
+}
+
 // TestIncrParityDeterministic pins that the parity measurement is exactly
 // reproducible: the step cache is bit-exact and the drivers are seeded, so
 // nothing in the compared trajectories is timing-dependent.
@@ -156,47 +279,5 @@ func TestIncrRandomScenarioStreamParity(t *testing.T) {
 	// fraction is large), but across six scenarios the fast path must land.
 	if totalHits == 0 {
 		t.Fatal("no random-scenario stream ever hit the cache")
-	}
-}
-
-// TestIncrRegressionsGates exercises the gate logic on synthetic reports.
-func TestIncrRegressionsGates(t *testing.T) {
-	ok := IncrReport{
-		Parity: []IncrParityResult{
-			{Scenario: "static", Variant: "none/float", Steps: 10, Match: true, Hits: 8, Misses: 1, Fallbacks: 1},
-			{Scenario: "static", Variant: "none/int8", Steps: 10, Match: true, Hits: 9, Misses: 1, Fallbacks: 1},
-		},
-		Speedup: []IncrSpeedupResult{
-			{Scenario: "mid-small", Speedup: 0.9}, // informational: no pin
-			{Scenario: "medium-1k", Speedup: 3.1, MinSpeedup: 2.0, Hits: 10},
-		},
-	}
-	if regs := IncrRegressions(ok); len(regs) != 0 {
-		t.Fatalf("clean report flagged: %v", regs)
-	}
-	bad := IncrReport{
-		Parity: []IncrParityResult{
-			{Scenario: "static", Variant: "none/float", Steps: 10, Match: false, Hits: 8, Misses: 1, Fallbacks: 1},
-			{Scenario: "burst", Variant: "none/int8", Steps: 10, Match: true, Hits: 3, Misses: 1, Fallbacks: 1},
-		},
-		Speedup: []IncrSpeedupResult{
-			{Scenario: "medium-1k", Speedup: 1.4, MinSpeedup: 2.0, Hits: 10},
-			{Scenario: "large-2k", Speedup: 3.0, MinSpeedup: 2.0, IncrAllocs: 2, Hits: 0},
-		},
-	}
-	regs := IncrRegressions(bad)
-	if len(regs) != 5 {
-		t.Fatalf("want 5 gate failures, got %d: %v", len(regs), regs)
-	}
-	for _, want := range []string{"diverged", "silent loss", "pinned 2.00x", "allocs", "never hit"} {
-		found := false
-		for _, r := range regs {
-			if strings.Contains(r, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("no gate failure mentions %q: %v", want, regs)
-		}
 	}
 }

@@ -381,3 +381,36 @@ func TestValidateRejectsNegativeCapacity(t *testing.T) {
 		t.Fatal("negative capacity accepted")
 	}
 }
+
+// TestCloneAndCopyFromAllocs pins the per-call heap allocations of the two
+// state copies every episode reset, fork and snapshot goes through. Clone
+// allocates a fixed handful of flat slices whatever the cluster size, plus
+// one for the anti-affinity index when it is enabled. CopyFrom into a
+// same-shape cluster reuses its storage and allocates nothing.
+func TestCloneAndCopyFromAllocs(t *testing.T) {
+	for _, affinity := range []bool{false, true} {
+		c := randomCluster(rand.New(rand.NewSource(8)), 12, 60)
+		cloneMax := 5.0
+		if affinity {
+			for v := range c.VMs {
+				c.VMs[v].Service = v % 5
+			}
+			c.EnableAntiAffinity()
+			cloneMax = 6
+		}
+		c.FragRate(DefaultFragCores) // warm the aggregates both copies carry
+		dst := c.Clone()
+		for _, tc := range []struct {
+			name string
+			max  float64
+			f    func()
+		}{
+			{"Clone", cloneMax, func() { _ = c.Clone() }},
+			{"CopyFrom", 0, func() { dst.CopyFrom(c) }},
+		} {
+			if got := testing.AllocsPerRun(100, tc.f); got > tc.max {
+				t.Errorf("%s (anti-affinity %v): %v allocs per call, want <= %v", tc.name, affinity, got, tc.max)
+			}
+		}
+	}
+}

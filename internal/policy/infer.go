@@ -21,7 +21,9 @@ var ErrNoMigratableVM = errors.New("policy: no migratable VM")
 // incremental ones), and reusable mask and wave buffers. Obtain one with
 // NewInferCtx (or AcquireCtx for a pooled, warm one) and reuse it across
 // waves and episodes; it is not safe for concurrent use. At a stable wave
-// shape a full wave performs zero heap allocations.
+// shape a full wave performs zero heap allocations at GOMAXPROCS=1; above
+// it, each kernel that fans out over goroutines allocates a fixed handful
+// per fan-out (TestInferBatchSteadyStateAllocs pins both).
 type InferCtx struct {
 	arena tensor.Arena
 
@@ -57,15 +59,12 @@ type InferCtx struct {
 	waveRes  []WaveRes
 }
 
-// BatchInferCtx is InferCtx: a wave of one and a wave of many share one
-// context type.
-type BatchInferCtx = InferCtx
-
 // NewInferCtx returns an empty inference context.
 func NewInferCtx() *InferCtx { return &InferCtx{} }
 
-// NewBatchInferCtx returns an empty inference context.
-func NewBatchInferCtx() *BatchInferCtx { return NewInferCtx() }
+// NewBatchInferCtx returns an empty inference context: a wave of one and a
+// wave of many share one context type.
+func NewBatchInferCtx() *InferCtx { return NewInferCtx() }
 
 // ctxPool recycles contexts for callers that do not manage their own.
 var ctxPool = sync.Pool{New: func() any { return NewInferCtx() }}
@@ -135,7 +134,8 @@ func applyThresholdBuf(buf, probs []float64, mask []bool, q float64) []float64 {
 }
 
 // Infer selects an action on the environment's current state: a wave of one
-// WaveInfer row on the caller's context, allocation-free once warm. With the
+// WaveInfer row on the caller's context, allocation-free once warm at
+// GOMAXPROCS=1 (see InferCtx for the fan-out's allocations). With the
 // step cache on, the cache supplies the row's embeddings in place of a full
 // extract-and-embed; block loop, heads and sampler are the wave's either
 // way. Use this for rollouts and serving; use Act when the decision record

@@ -241,7 +241,7 @@ func optAt(opts []SampleOpts, b int) SampleOpts {
 // given the same rng stream. opts is per-environment (a single element
 // broadcasts). Environments with no migratable VM get ErrNoMigratableVM in
 // their BatchAction. acts is an optional reusable result slice. Zero heap
-// allocations at a stable batch shape.
+// allocations at a stable batch shape and GOMAXPROCS=1 (see InferCtx).
 //
 // InferBatch is a homogeneous WaveInfer wave; see Model.ServeWave for the
 // general mixed-kind form the serving scheduler drives.

@@ -222,6 +222,32 @@ func TestInferSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestActAllocs pins what one training-time decision allocates once the
+// pooled context is warm: the Decision and the detached state snapshot PPO
+// keeps, whose shape depends on the action mode. The forward allocates
+// nothing, as TestInferSteadyStateAllocs pins.
+func TestActAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("Act takes a pooled context, and the race detector makes sync.Pool drop items")
+	}
+	for _, tc := range []struct {
+		mode ActionMode
+		max  float64
+	}{{TwoStage, 9}, {Penalty, 7}, {FullMask, 8}} {
+		env := inferTestEnv(t, 7)
+		m := New(Config{DModel: 16, Hidden: 32, Blocks: 1, Action: tc.mode, Seed: 7})
+		rng := rand.New(rand.NewSource(1))
+		run := func() {
+			if _, err := m.Act(env, rng, SampleOpts{Greedy: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(100, run); got > tc.max {
+			t.Errorf("%v: Act allocates %v times per decision, want <= %v", tc.mode, got, tc.max)
+		}
+	}
+}
+
 // TestSparseForwardColdAllocBytes pins the memory side of the fused attention
 // kernel: a cold sparse-attention step at the paper's Medium shape (280 PMs,
 // ~2 050 VMs, DModel 32) — fresh context, empty arena, so every buffer the

@@ -29,7 +29,7 @@ type WaveKind uint8
 
 const (
 	// WaveInfer selects one action on the request's environment — the
-	// serving path, allocation-free.
+	// serving path, allocation-free at GOMAXPROCS=1 (see InferCtx).
 	WaveInfer WaveKind = iota
 	// WaveAct selects the same action and retains the PPO decision record
 	// — state snapshot, masks, log-prob, critic value.
@@ -83,8 +83,8 @@ func hasKind(reqs []WaveReq, k WaveKind) bool {
 // segment. A request's result does not depend on what else shares the wave —
 // the row-independence property tests pin that — so rows from unrelated
 // callers can share a wave safely. res is an optional reusable result slice.
-// Rows of kind WaveInfer keep the wave allocation-free at a stable shape;
-// WaveAct rows allocate their retained decision records.
+// Rows of kind WaveInfer keep the wave allocation-free at a stable shape and
+// GOMAXPROCS=1; WaveAct rows allocate their retained decision records.
 func (m *Model) ServeWave(ic *InferCtx, reqs []WaveReq, res []WaveRes) []WaveRes {
 	if len(reqs) == 0 {
 		return res[:0]

@@ -7,8 +7,7 @@
 // API v2 is asynchronous-first: POST /v2/jobs enqueues a solve onto a
 // bounded worker pool and returns a job id; GET /v2/jobs/{id} reports
 // status and, once finished, the plan. POST /v2/reschedule is the
-// synchronous variant, and /v1/reschedule is a compatibility shim that
-// delegates to the same engine. Every solve runs under a context deadline,
+// synchronous variant. Every solve runs under a context deadline,
 // so even the exact solver returns a best-so-far anytime plan inside the
 // paper's five-second budget instead of a stale optimal one.
 //
@@ -54,8 +53,8 @@ import (
 	"vmr2l/internal/trace"
 )
 
-// PlanRequest is the body of POST /v1/reschedule, /v2/reschedule and
-// /v2/jobs. The mapping uses the dataset JSON schema of internal/trace.
+// PlanRequest is the body of POST /v2/reschedule and /v2/jobs. The mapping
+// uses the dataset JSON schema of internal/trace.
 type PlanRequest struct {
 	// MNL is the migration number limit; required, > 0.
 	MNL int `json:"mnl"`
@@ -65,8 +64,7 @@ type PlanRequest struct {
 	Objective string `json:"objective,omitempty"`
 	// TimeoutMS shrinks the server's solve budget for this request; values
 	// above the engine's configured budget are capped to it (a client can
-	// never extend the budget). Honored on every endpoint, including the
-	// /v1 shim, where pre-v2 clients simply never set it.
+	// never extend the budget). Honored on every endpoint.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Mapping is the cluster snapshot (trace JSON schema). Must be unset on
 	// session-scoped jobs (rejected with 400 otherwise): those snapshot the
@@ -97,10 +95,9 @@ type PlanMigration struct {
 	Forced bool `json:"forced,omitempty"`
 }
 
-// PlanResponse is the body returned by the reschedule endpoints. Its
-// pre-session shape is frozen: /v1/reschedule clients from before API v2
-// depend on it; Repair only ever appears on session-scoped jobs, which
-// post-date v1.
+// PlanResponse is the body returned by the reschedule endpoints. Repair
+// only ever appears on session-scoped jobs, Sharding only on scale-out
+// solves.
 type PlanResponse struct {
 	Solver    string          `json:"solver"`
 	InitialFR float64         `json:"initial_fr"`
@@ -360,9 +357,6 @@ func New(opts ...Option) *Server {
 	// Prometheus text exposition of the /v2/stats counters plus session
 	// aggregates. See metrics.go.
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// v1 compatibility shims: same engines, same response bytes as before v2.
-	s.mux.HandleFunc("/v1/reschedule", s.handleRescheduleV1)
-	s.mux.HandleFunc("/v1/solvers", s.handleSolversV1)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -417,8 +411,8 @@ func (s *Server) Register(name string, sv solver.Solver) {
 	s.solvers[name] = sv
 }
 
-// Solvers returns the registered engine names, sorted — the programmatic
-// form of GET /v1/solvers for preflight checks (vmr2l-server doctor).
+// Solvers returns the registered engine names, sorted, for preflight checks
+// (vmr2l-server doctor).
 func (s *Server) Solvers() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -882,21 +876,9 @@ func (s *Server) handleSolversV2(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"solvers": infos})
 }
 
-func (s *Server) handleSolversV1(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.solvers))
-	for n := range s.solvers {
-		names = append(names, n)
-	}
-	fallback := s.fallback
-	s.mu.RUnlock()
-	sort.Strings(names)
-	writeJSON(w, http.StatusOK, map[string]any{"solvers": names, "default": fallback})
-}
-
-// handleRescheduleSync is the shared synchronous solve path behind both
-// /v2/reschedule and the /v1/reschedule shim.
-func (s *Server) handleRescheduleSync(w http.ResponseWriter, r *http.Request) {
+// handleRescheduleV2 is the synchronous solve: decode, solve under the
+// request's budget, answer with the plan.
+func (s *Server) handleRescheduleV2(w http.ResponseWriter, r *http.Request) {
 	var req PlanRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "decode request: %v", err)
@@ -914,25 +896,10 @@ func (s *Server) handleRescheduleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	if timedOut {
 		// The engine hit its budget; the plan is the anytime best-so-far.
-		// Flag it so operators can pick a faster engine. As in v1, the value
-		// is the observed solve time, not the configured budget.
+		// Flag it so operators can pick a faster engine. The value is the
+		// observed solve time, not the configured budget.
 		elapsed := time.Duration(resp.ElapsedMS * float64(time.Millisecond)).Round(time.Microsecond)
 		w.Header().Set("X-Latency-Budget-Exceeded", elapsed.String())
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleRescheduleV2(w http.ResponseWriter, r *http.Request) {
-	s.handleRescheduleSync(w, r)
-}
-
-// handleRescheduleV1 is the pre-v2 endpoint. It delegates to the v2
-// synchronous path; the response body is byte-identical to the original v1
-// server for the same plan.
-func (s *Server) handleRescheduleV1(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	s.handleRescheduleSync(w, r)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -55,9 +56,16 @@ func postJSON(t *testing.T, s *Server, path string, req PlanRequest) *httptest.R
 
 func postPlan(t *testing.T, s *Server, req PlanRequest) (*httptest.ResponseRecorder, *PlanResponse) {
 	t.Helper()
-	w := postJSON(t, s, "/v1/reschedule", req)
+	w := postJSON(t, s, "/v2/reschedule", req)
 	if w.Code != http.StatusOK {
 		return w, nil
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(w.Body.Bytes(), &keys); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	if _, ok := keys["elapsed_ms"]; !ok {
+		t.Error("response lost elapsed_ms")
 	}
 	var resp PlanResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
@@ -119,22 +127,22 @@ func TestRescheduleValidation(t *testing.T) {
 		{"bad mapping", PlanRequest{MNL: 3, Mapping: []byte(`{"pms": 5}`)}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		// Validation must agree across v1, v2 sync, and v2 async submission.
-		for _, path := range []string{"/v1/reschedule", "/v2/reschedule", "/v2/jobs"} {
+		// Validation must agree across sync and async submission.
+		for _, path := range []string{"/v2/reschedule", "/v2/jobs"} {
 			if w := postJSON(t, s, path, tc.req); w.Code != tc.code {
 				t.Errorf("%s %s: status %d, want %d (%s)", tc.name, path, w.Code, tc.code, w.Body.String())
 			}
 		}
 	}
 	// Wrong method.
-	r := httptest.NewRequest(http.MethodGet, "/v1/reschedule", nil)
+	r := httptest.NewRequest(http.MethodGet, "/v2/reschedule", nil)
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, r)
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET status %d", w.Code)
 	}
 	// Malformed body.
-	r = httptest.NewRequest(http.MethodPost, "/v1/reschedule", bytes.NewBufferString("{nope"))
+	r = httptest.NewRequest(http.MethodPost, "/v2/reschedule", bytes.NewBufferString("{nope"))
 	w = httptest.NewRecorder()
 	s.ServeHTTP(w, r)
 	if w.Code != http.StatusBadRequest {
@@ -144,21 +152,17 @@ func TestRescheduleValidation(t *testing.T) {
 
 func TestSolversAndHealth(t *testing.T) {
 	s := testServer(t)
-	r := httptest.NewRequest(http.MethodGet, "/v1/solvers", nil)
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, r)
 	var got struct {
-		Solvers []string `json:"solvers"`
-		Default string   `json:"default"`
+		Solvers []SolverInfo `json:"solvers"`
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
-		t.Fatal(err)
+	if code := getJSON(t, s, "/v2/solvers", &got); code != http.StatusOK {
+		t.Fatalf("status %d", code)
 	}
-	if len(got.Solvers) != 2 || got.Default != "ha" {
-		t.Errorf("solvers = %+v", got)
+	if len(got.Solvers) != 2 || got.Solvers[0].ID != "ha" || !got.Solvers[0].Default || got.Solvers[1].Default {
+		t.Errorf("solvers = %+v", got.Solvers)
 	}
-	r = httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	w = httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	w := httptest.NewRecorder()
 	s.ServeHTTP(w, r)
 	if w.Code != http.StatusOK {
 		t.Errorf("healthz status %d", w.Code)
@@ -432,35 +436,49 @@ func TestV2DeadlineReturnsPartialPlan(t *testing.T) {
 	}
 }
 
-// TestV1V2Parity locks the compat shim: the same request through
-// /v1/reschedule and /v2/reschedule produces the same response — identical
-// JSON keys and identical values except the wall-clock elapsed_ms.
+// TestV1V2Parity locks what pre-v2 clients get after the /v1 routes were
+// retired: the old paths answer 404 rather than a stale shape, and
+// /v2/reschedule serves the exact body v1 served — the same six keys and no
+// others, with values identical across repeated requests except the
+// wall-clock elapsed_ms.
 func TestV1V2Parity(t *testing.T) {
 	s := testServer(t)
+	for _, path := range []string{"/v1/reschedule", "/v1/solvers"} {
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		if w.Code != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, w.Code)
+		}
+	}
+	v1Keys := []string{"elapsed_ms", "final_fr", "initial_fr", "plan", "solver", "steps"}
 	mapping, _ := mappingJSON(t, 8)
 	for _, req := range []PlanRequest{
 		{MNL: 6, Mapping: mapping},
 		{MNL: 4, Solver: "swap-ha", Objective: "mixed-vm:0.5", Mapping: mapping},
 	} {
-		v1 := postJSON(t, s, "/v1/reschedule", req)
-		v2 := postJSON(t, s, "/v2/reschedule", req)
-		if v1.Code != http.StatusOK || v2.Code != http.StatusOK {
-			t.Fatalf("status v1=%d v2=%d", v1.Code, v2.Code)
+		var bodies [2]map[string]any
+		for i := range bodies {
+			w := postJSON(t, s, "/v2/reschedule", req)
+			if w.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", w.Code, w.Body.String())
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &bodies[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		var b1, b2 map[string]any
-		if err := json.Unmarshal(v1.Body.Bytes(), &b1); err != nil {
-			t.Fatal(err)
+		keys := make([]string, 0, len(bodies[0]))
+		for k := range bodies[0] {
+			keys = append(keys, k)
 		}
-		if err := json.Unmarshal(v2.Body.Bytes(), &b2); err != nil {
-			t.Fatal(err)
+		sort.Strings(keys)
+		if !reflect.DeepEqual(keys, v1Keys) {
+			t.Errorf("response keys %v, want the v1 set %v", keys, v1Keys)
 		}
-		if _, ok := b1["elapsed_ms"]; !ok {
-			t.Error("v1 response lost elapsed_ms")
-		}
-		delete(b1, "elapsed_ms")
-		delete(b2, "elapsed_ms")
-		if !reflect.DeepEqual(b1, b2) {
-			t.Errorf("v1/v2 bodies differ:\nv1: %s\nv2: %s", v1.Body.String(), v2.Body.String())
+		delete(bodies[0], "elapsed_ms")
+		delete(bodies[1], "elapsed_ms")
+		if !reflect.DeepEqual(bodies[0], bodies[1]) {
+			t.Errorf("repeated v2 bodies differ:\n%v\n%v", bodies[0], bodies[1])
 		}
 	}
 }

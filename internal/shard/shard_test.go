@@ -8,6 +8,7 @@ import (
 
 	"vmr2l/internal/cluster"
 	"vmr2l/internal/heuristics"
+	"vmr2l/internal/scenario"
 	"vmr2l/internal/sim"
 	"vmr2l/internal/solver"
 	"vmr2l/internal/trace"
@@ -226,6 +227,42 @@ func TestShardedPlanAppliesCleanly(t *testing.T) {
 			if res.FinalFR > res.InitialFR+1e-9 {
 				t.Fatalf("seed %d shards %d: plan worsened FR %v -> %v",
 					seed, shards, res.InitialFR, res.FinalFR)
+			}
+		}
+	}
+}
+
+// TestShardSweepInvariants sweeps each work-bound engine set — HA, VBPP and
+// their portfolio — over 1 to 16 shards on the static scenario and holds the
+// merge-then-repair accounting: every kept migration was either valid as
+// planned or repaired (steps == valid + repaired), and the merged plan never
+// leaves the cluster more fragmented than it found it.
+func TestShardSweepInvariants(t *testing.T) {
+	sc := scenario.MustGet("static")
+	live, err := sc.Build(rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := sc.ParseObjective()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ha := Engine{Name: "ha", S: heuristics.HA{}}
+	vbpp := Engine{Name: "vbpp", S: heuristics.VBPP{}}
+	for _, engines := range [][]Engine{{ha}, {vbpp}, {ha, vbpp}} {
+		for _, k := range []int{1, 2, 4, 8, 16} {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			res, err := Solve(ctx, live, sim.Config{MNL: sc.MNL, Obj: obj}, engines, Options{Shards: k})
+			cancel()
+			if err != nil {
+				t.Fatalf("%s x %d shards: %v", Names(engines), k, err)
+			}
+			if st := res.Stats; len(res.Plan) != st.Valid+st.Repaired {
+				t.Errorf("%s x %d shards: steps %d != valid %d + repaired %d",
+					Names(engines), k, len(res.Plan), st.Valid, st.Repaired)
+			}
+			if res.FinalFR > res.InitialFR+1e-9 {
+				t.Errorf("%s x %d shards: FR worsened %v -> %v", Names(engines), k, res.InitialFR, res.FinalFR)
 			}
 		}
 	}

@@ -219,3 +219,59 @@ func TestBestActionMatchesTopActions(t *testing.T) {
 		}
 	}
 }
+
+// TestHotPathAllocs pins the per-call heap allocations of the environment
+// operations a rollout repeats: a Step and a pooled Fork+Release allocate
+// nothing once warm, a Fork the pool cannot serve allocates a fixed handful
+// (the env and its cluster's flat slices), and a fresh Extract allocates
+// only its result's buffers.
+func TestHotPathAllocs(t *testing.T) {
+	env := New(hotTestCluster(6), Config{MNL: 1 << 30, Obj: FR16()})
+	c := env.Cluster()
+	vm, pmA, pmB := -1, -1, -1
+	for v := 0; v < len(c.VMs) && vm < 0; v++ {
+		for pm := range c.PMs {
+			if c.VMs[v].Placed() && c.CanHost(v, pm) {
+				vm, pmA, pmB = v, c.VMs[v].PM, pm
+				break
+			}
+		}
+	}
+	if vm < 0 {
+		t.Fatal("fixture has no movable VM")
+	}
+	// vm bounces between pmA and pmB: the move back is legal because pmA
+	// hosted it a step earlier.
+	step := func() {
+		to := pmB
+		if env.Cluster().VMs[vm].PM == pmB {
+			to = pmA
+		}
+		if _, _, err := env.Step(vm, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Grow the recorded plan's capacity past the measured steps, then start
+	// the episode over, so appends to the plan reuse that capacity.
+	for i := 0; i < 256; i++ {
+		step()
+	}
+	env.Reset()
+	for _, tc := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"Step", 0, step},
+		{"Fork", 6, func() { _ = env.Fork() }},
+		{"Fork+Release", 0, func() { env.Fork().Release() }},
+		{"Extract", 4, func() { _ = Extract(env.Cluster()) }},
+	} {
+		if tc.name == "Fork+Release" && raceDetectorEnabled {
+			continue // the fork pool drops items at random under the race detector
+		}
+		if got := testing.AllocsPerRun(100, tc.f); got > tc.max {
+			t.Errorf("%s: %v allocs per call, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}

@@ -12,7 +12,10 @@ import (
 // autograd graphs — no parent links, no backward closures, no gradient
 // buffers — and their outputs live until the next Reset, at which point the
 // storage is recycled. After the first few forwards an arena reaches a
-// steady state where a full policy forward performs zero heap allocations.
+// steady state where a full policy forward performs zero heap allocations
+// at GOMAXPROCS=1. Above it, each kernel whose product crosses
+// mmParallelFlops fans out over goroutines, and each fan-out allocates a
+// fixed handful (see fanOut).
 //
 // An Arena is not safe for concurrent use; give each worker goroutine its
 // own (see policy's arena pool). Tensors returned by arena ops must not be

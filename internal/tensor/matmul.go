@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // Cache-blocked matrix-multiply kernels shared by the autograd ops and the
 // inference arena. The i-k-j loop order streams the B rows sequentially;
@@ -26,28 +23,30 @@ func matMulInto(dst, a, b []float64, m, k, n int) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 1 && m >= 2*mmBlock && m*k*n >= mmParallelFlops {
-		if workers > (m+mmBlock-1)/mmBlock {
-			workers = (m + mmBlock - 1) / mmBlock
-		}
-		var wg sync.WaitGroup
-		chunk := (m + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, min((w+1)*chunk, m)
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				matMulRange(dst, a, b, lo, hi, k, n)
-			}(lo, hi)
-		}
-		wg.Wait()
+	if workers := mmWorkers(m, k, n); workers > 1 {
+		matMulParallel(dst, a, b, m, k, n, workers)
 		return
 	}
 	matMulRange(dst, a, b, 0, m, k, n)
+}
+
+// mmWorkers is how many goroutines a GEMM of m×k·k×n fans its rows over:
+// 1 below mmParallelFlops or two row blocks, else GOMAXPROCS capped at one
+// worker per mmBlock rows.
+func mmWorkers(m, k, n int) int {
+	workers := runtime.GOMAXPROCS(0)
+	if workers <= 1 || m < 2*mmBlock || m*k*n < mmParallelFlops {
+		return 1
+	}
+	return min(workers, (m+mmBlock-1)/mmBlock)
+}
+
+// matMulParallel hands worker w the w-th of `workers` equal row chunks.
+func matMulParallel(dst, a, b []float64, m, k, n, workers int) {
+	chunk := (m + workers - 1) / workers
+	fanOut(workers, func(w int) {
+		matMulRange(dst, a, b, min(w*chunk, m), min((w+1)*chunk, m), k, n)
+	})
 }
 
 // matMulRange multiplies A rows [i0,i1) into dst with (i, k) blocking.
@@ -106,28 +105,19 @@ func matMulQ8Into(dst []float64, xp []uint64, xs []float64, xsum []int64, wp []u
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 1 && m >= 2*mmBlock && m*k*n >= mmParallelFlops {
-		if workers > (m+mmBlock-1)/mmBlock {
-			workers = (m + mmBlock - 1) / mmBlock
-		}
-		var wg sync.WaitGroup
-		chunk := (m + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, min((w+1)*chunk, m)
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				matMulQ8Range(dst, xp, xs, xsum, wp, ws, wsum, bias, lo, hi, k, kp, n)
-			}(lo, hi)
-		}
-		wg.Wait()
+	if workers := mmWorkers(m, k, n); workers > 1 {
+		matMulQ8Parallel(dst, xp, xs, xsum, wp, ws, wsum, bias, m, k, kp, n, workers)
 		return
 	}
 	matMulQ8Range(dst, xp, xs, xsum, wp, ws, wsum, bias, 0, m, k, kp, n)
+}
+
+// matMulQ8Parallel hands worker w the w-th of `workers` equal row chunks.
+func matMulQ8Parallel(dst []float64, xp []uint64, xs []float64, xsum []int64, wp []uint64, ws []float64, wsum []int64, bias []float64, m, k, kp, n, workers int) {
+	chunk := (m + workers - 1) / workers
+	fanOut(workers, func(w int) {
+		matMulQ8Range(dst, xp, xs, xsum, wp, ws, wsum, bias, min(w*chunk, m), min((w+1)*chunk, m), k, kp, n)
+	})
 }
 
 // matMulQ8Range computes activation rows [i0,i1) of the quantized linear.

@@ -274,7 +274,9 @@ func (ar *Arena) MatMulQ8(qx *QuantActs, qw *QuantizedWeight, bias *Tensor) *Ten
 // LinearQ8 is the fused quantized linear layer: quantize x row-wise, multiply
 // by the quantized weight, dequantize with the bias add folded in. It
 // replaces the float path's zeroed-tensor + matmul + bias-broadcast sequence
-// with one pass and zero heap allocations at steady state.
+// with one pass and zero heap allocations at steady state, at GOMAXPROCS=1
+// or below mmParallelFlops (a product that fans out allocates one fanOut's
+// closures).
 func (ar *Arena) LinearQ8(x *Tensor, qw *QuantizedWeight, bias *Tensor) *Tensor {
 	if x.Cols != qw.In {
 		panic(fmt.Sprintf("tensor: LinearQ8 %dx%d · quantized %dx%d", x.Rows, x.Cols, qw.In, qw.Out))

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -170,23 +171,79 @@ func TestLinearQ8ZeroRow(t *testing.T) {
 
 func w2q(w *Tensor) *QuantizedWeight { return QuantizeWeight(w) }
 
+// TestLinearQ8ParallelMatchesReference runs the int8 linear at 300×64×32,
+// above mmParallelFlops, with GOMAXPROCS forced to 4 so its rows fan out:
+// every cell must still equal the reference bit for bit.
+func TestLinearQ8ParallelMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(8))
+	x := randTensor(rng, 300, 64)
+	qw := QuantizeWeight(randTensor(rng, 64, 32))
+	bias := randTensor(rng, 1, 32)
+	var ar Arena
+	got := ar.LinearQ8(x, qw, bias)
+	want := refQuantLinear(x, qw, bias)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("cell %d (row %d): kernel %v reference %v", i, i/32, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// allocsAtProcs is testing.AllocsPerRun without its GOMAXPROCS=1 pin, so a
+// product above mmParallelFlops takes its fan-out at the ambient GOMAXPROCS:
+// the integer mean of heap allocations per call of f over runs calls, after
+// as many warm-up calls (which also stock the runtime's free goroutine
+// lists).
+func allocsAtProcs(runs int, f func()) uint64 {
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// fanOutAllocs is what one fanOut over w workers allocates: the caller's
+// closure, the WaitGroup, and one closure per goroutine. The serial path
+// (w == 1) allocates nothing.
+func fanOutAllocs(w int) uint64 {
+	if w <= 1 {
+		return 0
+	}
+	return uint64(w) + 2
+}
+
+// TestLinearQ8SteadyStateAllocs pins the warm linear, int8 and float, at the
+// ambient GOMAXPROCS (CI runs it at -cpu 1,2,4): zero allocations on the
+// serial path — every shape at GOMAXPROCS=1, and 64×32×64, below
+// mmParallelFlops, at any setting — and one fanOut's worth at 300×64×32, the
+// FF-down serving shape, whose rows fan out above GOMAXPROCS=1.
 func TestLinearQ8SteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	ar := &Arena{}
-	x := randTensor(rng, 64, 32)
-	qw := QuantizeWeight(randTensor(rng, 32, 64))
-	bias := randTensor(rng, 1, 64)
-	// Warm the pools.
-	for i := 0; i < 3; i++ {
-		ar.Reset()
-		ar.LinearQ8(x, qw, bias)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		ar.Reset()
-		ar.LinearQ8(x, qw, bias)
-	})
-	if allocs != 0 {
-		t.Fatalf("LinearQ8 steady state allocates %.1f/op, want 0", allocs)
+	for _, s := range []struct{ m, k, n int }{{64, 32, 64}, {300, 64, 32}} {
+		ar := &Arena{}
+		x := randTensor(rng, s.m, s.k)
+		w := randTensor(rng, s.k, s.n)
+		qw := QuantizeWeight(w)
+		bias := randTensor(rng, 1, s.n)
+		want := fanOutAllocs(mmWorkers(s.m, s.k, s.n))
+		q8 := allocsAtProcs(50, func() {
+			ar.Reset()
+			ar.LinearQ8(x, qw, bias)
+		})
+		f64 := allocsAtProcs(50, func() {
+			ar.Reset()
+			ar.AddRowInPlace(ar.MatMul(x, w), bias)
+		})
+		if q8 > want || f64 > want {
+			t.Errorf("%dx%dx%d at GOMAXPROCS=%d: int8 %d, float %d allocs/op, want <= %d",
+				s.m, s.k, s.n, runtime.GOMAXPROCS(0), q8, f64, want)
+		}
 	}
 }
 
