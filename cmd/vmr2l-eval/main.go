@@ -35,7 +35,6 @@ func main() {
 		nMaps   = flag.Int("maps", 6, "test mappings to evaluate")
 		mnl     = flag.Int("mnl", 10, "migration number limit")
 		traj    = flag.Int("traj", 16, "risk-seeking trajectories")
-		batched = flag.Bool("batched", true, "lock-step the K trajectories through one batched forward per wave (identical results to -batched=false)")
 		seed    = flag.Int64("seed", 99, "random seed")
 		dModel  = flag.Int("dmodel", 32, "embedding width (must match training)")
 		blocks  = flag.Int("blocks", 2, "attention blocks (must match training)")
@@ -85,10 +84,10 @@ func main() {
 		haFR += h.FinalFR
 		greedy := eval.Run(m, c, envCfg, eval.Options{Trajectories: 1, Seed: *seed + int64(i)})
 		greedyFR += greedy.BestValue
-		risk := eval.Run(m, c, envCfg, eval.Options{Trajectories: *traj, Seed: *seed + int64(i), Parallel: !*batched, Batched: *batched})
+		risk := eval.Run(m, c, envCfg, eval.Options{Trajectories: *traj, Seed: *seed + int64(i)})
 		riskFR += risk.BestValue
 		thr := eval.Run(m, c, envCfg, eval.Options{
-			Trajectories: *traj, Seed: *seed + int64(i), Parallel: !*batched, Batched: *batched,
+			Trajectories: *traj, Seed: *seed + int64(i),
 			VMQuantile: vq, PMQuantile: pq,
 		})
 		thrFR += thr.BestValue

@@ -47,8 +47,8 @@
 // mcts-prior critic scoring — routes through one continuous-batching
 // scheduler (internal/serve): concurrent requests coalesce into shared GEMM
 // waves sized by -wave-rows / -wave-wait, and per-request results stay
-// bit-identical to standalone inference. Scheduler counters are served at
-// /debug/vmr2l/serving on the -pprof listener.
+// bit-identical to standalone inference. Scheduler counters are exported as
+// vmr2l_serve_* on GET /metrics.
 package main
 
 import (
@@ -297,7 +297,7 @@ func main() {
 		queue    = flag.Int("queue", 64, "async job queue depth")
 		timeout  = flag.Duration("timeout", 0, "per-solve budget (0 = paper's 5s limit)")
 		shards   = flag.Int("shards", 8, "partition count of the pre-registered 'sharded' engine")
-		pprofP   = flag.Int("pprof", 0, "expose net/http/pprof and /debug/vmr2l/serving on 127.0.0.1:<port> (0 = disabled)")
+		pprofP   = flag.Int("pprof", 0, "expose net/http/pprof on 127.0.0.1:<port> (0 = disabled)")
 		waveRows = flag.Int("wave-rows", 128, "inference scheduler: max rows per shared forward wave")
 		waveWait = flag.Duration("wave-wait", 0, "inference scheduler: admission window to hold a wave open for stragglers (0 = fire immediately)")
 	)
@@ -358,11 +358,6 @@ func main() {
 	s := service.New(svcOpts...)
 	registerEngines(s, sched, *shards)
 	if sched != nil {
-		// Scheduler counters on the pprof (debug) mux, loopback-only.
-		http.HandleFunc("GET /debug/vmr2l/serving", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(sched.Stats())
-		})
 		path := "float64"
 		if m.Quantized() {
 			path = "int8"

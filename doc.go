@@ -84,7 +84,7 @@
 // wave: policy.Agent runs ServeWave on a pooled context, serve.Agent hands
 // the rows to the shared scheduler. Consumers: rl.Config.Envs lock-steps N
 // training environments per wave, rl.EvalFR batches all test mappings,
-// eval.Options.Batched batches the K risk-seeking trajectories,
+// eval.Run batches the K risk-seeking trajectories,
 // mcts.Solver.Prior (any mcts.ValuePrior; mcts.CriticPrior wraps a bare
 // model) scores root candidates with one critic wave, and shard solves route
 // a single policy engine through shard.BatchSolver so all shards share each
@@ -106,7 +106,7 @@
 // under -race across action modes and GOMAXPROCS — and cancelling a
 // queued request drops only that row, never its wavemates.
 // vmr2l-server wires this up behind -ckpt (knobs -wave-rows/-wave-wait;
-// counters at /debug/vmr2l/serving on the -pprof listener).
+// counters exported as vmr2l_serve_* on GET /metrics).
 //
 // # Int8 inference & checkpoints
 //
@@ -152,9 +152,9 @@
 // (InferCtx.IncrStats) — recomputes are never silent. internal/serve
 // routes Env-carrying rollout requests through LRU-bounded per-session
 // incremental contexts (Options.Incremental: Auto engages for the fully
-// incremental extractor=none models) and surfaces incr_* counters at
-// /debug/vmr2l/serving. A go test in internal/bench gates exact-trajectory
-// parity on every registry scenario, float and int8.
+// incremental extractor=none models) and exports its counters as
+// vmr2l_serve_incr_* on GET /metrics. A go test in internal/bench gates
+// exact-trajectory parity on every registry scenario, float and int8.
 //
 // # Multi-node serving & failover
 //
@@ -170,9 +170,10 @@
 // accounting (rehomed == restored + restore_failed; 503+Retry-After while
 // re-homing, 410 with a reason for anything genuinely lost). Both tiers
 // serve Prometheus-text GET /metrics, and "vmr2l-server doctor -coord"
-// preflights the fleet. "vmr2l-bench -fleet" is the node-level chaos gate:
-// it kills a replica mid-advance under concurrent jobs and pins the
-// failover accounting, byte-identical re-homed state (vs both the pre-kill
-// snapshot and a failure-free twin), and full job accounting in
-// BENCH_fleet.json; "-fleet-check" gates it in CI (fleet-smoke job).
+// preflights the fleet. TestRunFleet (internal/bench) is the node-level
+// chaos gate: it kills a replica mid-advance under concurrent jobs and pins
+// the failover accounting, byte-identical re-homed state (vs both the
+// pre-kill snapshot and a failure-free twin), and full job accounting. Run
+// it, with the failure-scenario gate, as
+// go test -run 'TestRunChaosSmall|TestRunFleet' ./internal/bench/.
 package vmr2l

@@ -82,7 +82,7 @@ func main() {
 
 	// 6. Risk-seeking evaluation: sample several trajectories in the
 	//    deterministic simulator and deploy only the best (section 3.4).
-	out := eval.Run(model, mapping, envCfg, eval.Options{Trajectories: 16, Seed: 9, Parallel: true})
+	out := eval.Run(model, mapping, envCfg, eval.Options{Trajectories: 16, Seed: 9})
 	fmt.Printf("VMR2L risk-seeking (K=16): FR %.4f -> %.4f\n", rlRes.InitialFR, out.BestValue)
 	fmt.Println("best plan:")
 	for _, m := range out.BestPlan {

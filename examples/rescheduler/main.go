@@ -88,7 +88,7 @@ func main() {
 	total := 0.0
 	start := time.Now()
 	for i, c := range test {
-		out := eval.Run(model, c, envCfg, eval.Options{Trajectories: 8, Seed: int64(i), Parallel: true})
+		out := eval.Run(model, c, envCfg, eval.Options{Trajectories: 8, Seed: int64(i)})
 		total += out.BestValue
 	}
 	fmt.Printf("%-22s %8.4f %12s\n", "VMR2L risk-seek K=8", total/float64(len(test)),

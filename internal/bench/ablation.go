@@ -141,8 +141,8 @@ func Fig12(o Options) (*Report, error) {
 	for _, k := range ks {
 		base, thr := 0.0, 0.0
 		for i, c := range test {
-			ob := eval.Run(m, c, envCfg, eval.Options{Trajectories: k, Seed: o.Seed + int64(i), Batched: true})
-			ot := eval.Run(m, c, envCfg, eval.Options{Trajectories: k, Seed: o.Seed + int64(i), VMQuantile: vq, PMQuantile: pq, Batched: true})
+			ob := eval.Run(m, c, envCfg, eval.Options{Trajectories: k, Seed: o.Seed + int64(i)})
+			ot := eval.Run(m, c, envCfg, eval.Options{Trajectories: k, Seed: o.Seed + int64(i), VMQuantile: vq, PMQuantile: pq})
 			base += ob.BestValue
 			thr += ot.BestValue
 		}

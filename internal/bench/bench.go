@@ -1,8 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Registry is the experiment index). Each experiment is a pure
 // function from Options to a Report of printable tables; cmd/vmr2l-bench and
-// the root bench_test.go are thin wrappers. The package also holds the
-// robustness suites behind BENCH_chaos.json and BENCH_fleet.json.
+// the root bench_test.go are thin wrappers. Its tests also hold the chaos
+// and fleet robustness gates (TestRunChaosSmall, TestRunFleet).
 //
 // Absolute numbers differ from the paper — the substrate is a scaled
 // simulator, not ByteDance's clusters — but each report reproduces the

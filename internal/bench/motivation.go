@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"vmr2l/internal/cluster"
 	"vmr2l/internal/exact"
@@ -23,22 +22,19 @@ func Fig1(o Options) (*Report, error) {
 	if o.Full {
 		peak = 40.0
 	}
+	p := trace.MustProfile("medium-small")
 	var mix []cluster.VMType
-	for _, tw := range trace.MustProfile("medium-small").VMMix {
+	for _, tw := range p.VMMix {
 		mix = append(mix, tw.Type)
 	}
-	events := sched.Stream(rng, 24*60, peak, mix)
-	counts := sched.PerMinuteCounts(events, 24*60)
-	// Aggregate per hour for a readable table.
+	// A day of churn on a live cluster, aggregated per hour for a readable
+	// table. Events counts every generated change, rejected arrivals too.
+	dyn := sched.NewDynamics(p.GenerateMapping(rng), rng, mix, sched.Diurnal(peak))
 	tbl := Table{Title: "VM changes per minute (hourly mean)", Header: []string{"hour", "changes/min", "bar"}}
 	troughHour, troughVal := 0, 1e18
 	peakHour, peakVal := 0, -1.0
 	for h := 0; h < 24; h++ {
-		sum := 0
-		for m := h * 60; m < (h+1)*60; m++ {
-			sum += counts[m]
-		}
-		mean := float64(sum) / 60
+		mean := float64(dyn.Advance(60).Events) / 60
 		if mean < troughVal {
 			troughHour, troughVal = h, mean
 		}
@@ -159,16 +155,14 @@ func Fig5(o Options) (*Report, error) {
 		for di, d := range delays {
 			// Simulate d seconds of churn, then deploy the stale plan.
 			evolved := c.Clone()
-			nEvents := int(d * churnPerSec)
-			events := make([]sched.Event, 0, nEvents)
-			for i := 0; i < nEvents; i++ {
+			dyn := sched.NewDynamics(evolved, rng, nil, nil)
+			for i := 0; i < int(d*churnPerSec); i++ {
 				if rng.Float64() < 0.5 {
-					events = append(events, sched.Event{Arrive: true, Type: mix[rng.Intn(len(mix))]})
+					dyn.Arrive(mix[rng.Intn(len(mix))])
 				} else {
-					events = append(events, sched.Event{Arrive: false})
+					dyn.ExitRandom()
 				}
 			}
-			sched.Replay(evolved, events, rng)
 			applied, skipped := sim.ApplyPlan(evolved, plan)
 			points[di].fr += evolved.FragRate(cluster.DefaultFragCores)
 			points[di].applied += applied
@@ -193,5 +187,3 @@ func Fig5(o Options) (*Report, error) {
 
 // fiveSecondNote reminds readers of the latency budget in solver tables.
 const fiveSecondNote = "five-second limit (paper section 2.2): methods slower than this are stale in production"
-
-var _ = time.Second

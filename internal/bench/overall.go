@@ -122,7 +122,7 @@ func Fig9(o Options) (*Report, error) {
 		total := 0.0
 		for i, c := range test {
 			out := eval.Run(ms.vmr2l, c, sim.DefaultConfig(mnls[len(mnls)-1]),
-				eval.Options{Trajectories: k, Seed: o.Seed + int64(i), Batched: true})
+				eval.Options{Trajectories: k, Seed: o.Seed + int64(i)})
 			total += out.BestValue
 		}
 		rs.Rows = append(rs.Rows, []string{itoa(k), f4(total / float64(len(test)))})

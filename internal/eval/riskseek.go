@@ -8,8 +8,6 @@ package eval
 import (
 	"context"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"vmr2l/internal/cluster"
 	"vmr2l/internal/policy"
@@ -24,16 +22,7 @@ type Options struct {
 	// VMQuantile / PMQuantile apply action thresholding; 0 disables.
 	VMQuantile float64
 	PMQuantile float64
-	// Parallel runs rollouts on goroutines (the paper's multi-GPU analog).
-	Parallel bool
-	// Batched rolls all K trajectories in lock-step on one goroutine with a
-	// single batched forward per wave (policy.Model.Rollout): the K
-	// environments' rows stack into one GEMM chain, whose kernels themselves
-	// parallelize across GOMAXPROCS for large batches. Trajectory-for-
-	// trajectory identical to the sequential path (same per-trajectory rng
-	// seeds and sample options). Takes precedence over Parallel.
-	Batched bool
-	Seed    int64
+	Seed       int64
 }
 
 // Outcome is the result of one risk-seeking evaluation.
@@ -55,91 +44,35 @@ func Run(m *policy.Model, init *cluster.Cluster, cfg sim.Config, opts Options) O
 // expires stop early, and the best among what completed (even partially)
 // wins. This is the deadline-aware entry the service's risk-seeking mode
 // would use.
+//
+// All K trajectories roll in lock-step on one goroutine
+// (policy.Model.Rollout): each wave stacks the K environments' rows into one
+// forward, whose kernels parallelize across GOMAXPROCS for large batches.
+// Trajectory i samples from seed Seed+9973·i, so its plan is the one a
+// standalone policy.Agent with that seed would produce.
 func RunContext(ctx context.Context, m *policy.Model, init *cluster.Cluster, cfg sim.Config, opts Options) Outcome {
-	k := opts.Trajectories
-	if k < 1 {
-		k = 1
-	}
-	type result struct {
-		value float64
-		plan  []sim.Migration
-	}
-	results := make([]result, k)
-	// runOne rolls trajectory i on a worker-owned environment: Reset is an
-	// in-place restore (cluster.CopyFrom), so the per-trajectory cost never
-	// re-clones the initial mapping.
-	runOne := func(i int, env *sim.Env) {
-		env.Reset()
-		sampleOpts := policy.SampleOpts{
+	k := max(opts.Trajectories, 1)
+	envs := make([]*sim.Env, k)
+	rngs := make([]*rand.Rand, k)
+	sampleOpts := make([]policy.SampleOpts, k)
+	for i := range envs {
+		envs[i] = sim.New(init, cfg)
+		rngs[i] = rand.New(rand.NewSource(opts.Seed + int64(i)*9973))
+		sampleOpts[i] = policy.SampleOpts{
 			Greedy:     i == 0,
 			VMQuantile: opts.VMQuantile,
 			PMQuantile: opts.PMQuantile,
 		}
-		ag := policy.Agent{Model: m, Opts: sampleOpts, Seed: opts.Seed + int64(i)*9973}
-		_ = ag.Solve(ctx, env)
-		results[i] = result{value: env.Value(), plan: append([]sim.Migration(nil), env.Plan()...)}
 	}
-	if opts.Batched {
-		// Lock-step batching: one environment per trajectory, every wave one
-		// stacked forward. Seeds and sample options match runOne exactly, so
-		// the outcome is identical to the sequential path.
-		envs := make([]*sim.Env, k)
-		rngs := make([]*rand.Rand, k)
-		sampleOpts := make([]policy.SampleOpts, k)
-		for i := 0; i < k; i++ {
-			envs[i] = sim.New(init, cfg)
-			rngs[i] = rand.New(rand.NewSource(opts.Seed + int64(i)*9973))
-			sampleOpts[i] = policy.SampleOpts{
-				Greedy:     i == 0,
-				VMQuantile: opts.VMQuantile,
-				PMQuantile: opts.PMQuantile,
-			}
-		}
-		ic := policy.AcquireCtx()
-		_ = m.Rollout(ctx, m.WaveOn(ic), envs, rngs, sampleOpts, false)
-		ic.Release()
-		for i, env := range envs {
-			results[i] = result{value: env.Value(), plan: append([]sim.Migration(nil), env.Plan()...)}
-		}
-	} else if opts.Parallel {
-		// Fan rollouts out over at most GOMAXPROCS workers (the paper's
-		// multi-GPU analog): each worker reuses one environment and one
-		// inference context across its share of the K trajectories. The
-		// model is read-only during inference so sharing parameters is safe.
-		workers := runtime.GOMAXPROCS(0)
-		if workers > k {
-			workers = k
-		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				env := sim.New(init, cfg)
-				for i := range jobs {
-					runOne(i, env)
-				}
-			}()
-		}
-		for i := 0; i < k; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		env := sim.New(init, cfg)
-		for i := 0; i < k; i++ {
-			runOne(i, env)
-		}
-	}
-	out := Outcome{BestValue: results[0].value, BestPlan: results[0].plan}
-	for i, r := range results {
-		out.MeanValue += r.value
-		if r.value < out.BestValue {
-			out.BestValue = r.value
-			out.BestPlan = r.plan
-			out.Trajectory = i
+	ic := policy.AcquireCtx()
+	_ = m.Rollout(ctx, m.WaveOn(ic), envs, rngs, sampleOpts, false)
+	ic.Release()
+	out := Outcome{BestValue: envs[0].Value(), BestPlan: envs[0].Plan()}
+	for i, env := range envs {
+		v := env.Value()
+		out.MeanValue += v
+		if v < out.BestValue {
+			out.BestValue, out.BestPlan, out.Trajectory = v, env.Plan(), i
 		}
 	}
 	out.MeanValue /= float64(k)

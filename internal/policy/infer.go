@@ -62,8 +62,9 @@ type InferCtx struct {
 // NewInferCtx returns an empty inference context.
 func NewInferCtx() *InferCtx { return &InferCtx{} }
 
-// NewBatchInferCtx returns an empty inference context: a wave of one and a
-// wave of many share one context type.
+// NewBatchInferCtx is NewInferCtx under its former name. It exists only
+// for the benchmark harness's one call (benchmarks/e2e/shadow.go); delete it
+// once that call moves to NewInferCtx (ROADMAP item 1(e)).
 func NewBatchInferCtx() *InferCtx { return NewInferCtx() }
 
 // ctxPool recycles contexts for callers that do not manage their own.

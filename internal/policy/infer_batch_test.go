@@ -86,7 +86,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 				}
 				rngs[b] = rand.New(rand.NewSource(int64(40 + b)))
 			}
-			bc := NewBatchInferCtx()
+			bc := NewInferCtx()
 			ic := NewInferCtx()
 			for wave := 0; ; wave++ {
 				if wave > 200 {
@@ -158,7 +158,7 @@ func TestActBatchMatchesAct(t *testing.T) {
 		for b := range envs {
 			envs[b] = batchTestEnv(t, int64(50+b), 4, 10+b, 6)
 		}
-		bc := NewBatchInferCtx()
+		bc := NewInferCtx()
 		rngs := make([]*rand.Rand, B)
 		seqDecs := make([]*Decision, B)
 		for b := range envs {
@@ -244,7 +244,7 @@ func TestInferBatchParallelKernelsBitIdentical(t *testing.T) {
 	for b := range envs {
 		envs[b] = batchTestEnv(t, int64(60+b), 4, 20+b, 4)
 	}
-	bc := NewBatchInferCtx()
+	bc := NewInferCtx()
 	ic := NewInferCtx()
 	for wave := 0; wave < 3; wave++ {
 		rngs := make([]*rand.Rand, B)
@@ -339,7 +339,7 @@ func TestInferBatchSteadyStateAllocs(t *testing.T) {
 			rngs[b] = rand.New(rand.NewSource(int64(b)))
 			opts[b] = SampleOpts{Greedy: true}
 		}
-		bc := NewBatchInferCtx()
+		bc := NewInferCtx()
 		var acts []BatchAction
 		run := func() {
 			acts = m.InferBatch(bc, envs, rngs, opts, acts)

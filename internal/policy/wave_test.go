@@ -20,7 +20,7 @@ func TestServeWaveMixedKinds(t *testing.T) {
 		for b := range envs {
 			envs[b] = batchTestEnv(t, int64(400+10*b), 3+b%3, 8+2*b, 6)
 		}
-		bc := NewBatchInferCtx()
+		bc := NewInferCtx()
 		ic := NewInferCtx()
 		var res []WaveRes
 		// Rotate row kinds across waves so every env exercises every kind

@@ -93,8 +93,7 @@ func (s Stats) Sub(prev Stats) Stats {
 
 // Dynamics evolves a live cluster through VMS churn: a pull-based clock
 // whose Advance applies Poisson arrivals (placed by BestFit) and
-// uniform-random exits in place. It is the event-driven replacement for the
-// old precomputed []Event slice; Stream/Replay remain as wrappers.
+// uniform-random exits in place.
 //
 // The engine mutates the cluster it was given — that is the point: the
 // cluster is the live system state that drifts away from any snapshot a
@@ -120,8 +119,8 @@ type Dynamics struct {
 
 // NewDynamics builds an engine over the live cluster c. mix is the flavor
 // distribution of arriving VMs and rate the expected events per minute; both
-// may be nil when the engine is only used to apply precomputed events
-// (Replay does this). Events split 50/50 between arrivals and exits by
+// may be nil when the caller applies events itself through Arrive, Exit and
+// ExitRandom. Events split 50/50 between arrivals and exits by
 // default; SetArriveFrac changes that.
 func NewDynamics(c *cluster.Cluster, rng *rand.Rand, mix []cluster.VMType, rate RateFunc) *Dynamics {
 	return &Dynamics{c: c, rng: rng, mix: mix, rate: rate, arriveFrac: 0.5}
@@ -142,8 +141,8 @@ func (d *Dynamics) SetArriveFrac(f float64) {
 // SetReuseSlots makes arrivals recycle the VM records of exited (and
 // rejected) VMs instead of appending forever, so a long-lived cluster —
 // e.g. a serving session advanced for simulated weeks — stays bounded by
-// its peak population instead of its cumulative churn. Off by default: the
-// Replay compatibility wrapper keeps the old always-append id semantics.
+// its peak population instead of its cumulative churn. Off by default:
+// every arrival appends a new VM record.
 //
 // Caveat for plan staleness checks: a recycled id can make a migration
 // planned for the old VM look merely "moved" rather than "gone". Every
@@ -176,9 +175,9 @@ func (d *Dynamics) Advance(minutes int) Stats {
 			n := poisson(d.rng, d.rate(d.minute))
 			for i := 0; i < n; i++ {
 				if d.rng.Float64() < d.arriveFrac {
-					d.apply(Event{Minute: d.minute, Arrive: true, Type: d.mix[d.rng.Intn(len(d.mix))]})
+					d.Arrive(d.mix[d.rng.Intn(len(d.mix))])
 				} else {
-					d.apply(Event{Minute: d.minute, Arrive: false})
+					d.ExitRandom()
 				}
 			}
 		}
@@ -244,8 +243,9 @@ func (d *Dynamics) Exit(id int) bool {
 }
 
 // ExitRandom removes a uniformly random placed VM, reporting false when none
-// is placed (no rng is consumed then — the same contract the old Replay
-// had).
+// is placed. It consumes exactly one rng.Intn draw when some VM is placed
+// and none otherwise: the contract of the original event-slice replay,
+// which the tests keep as an oracle.
 func (d *Dynamics) ExitRandom() bool {
 	d.stats.Events++
 	placed := d.c.CountPlaced()
@@ -273,13 +273,4 @@ func (d *Dynamics) ExitRandom() bool {
 		k--
 	}
 	return false
-}
-
-// apply routes one event to the matching applier.
-func (d *Dynamics) apply(ev Event) {
-	if ev.Arrive {
-		d.Arrive(ev.Type)
-	} else {
-		d.ExitRandom()
-	}
 }

@@ -124,7 +124,7 @@ func TestDynamicsReuseSlotsBoundsGrowth(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Without reuse, every arrival appends (the Replay-compatible default).
+	// Without reuse, every arrival appends (the default).
 	rng2 := rand.New(rand.NewSource(6))
 	c2 := trace.MustProfile("tiny").GenerateMapping(rng2)
 	d2 := NewDynamics(c2, rng2, mix, Constant(6))
@@ -135,12 +135,18 @@ func TestDynamicsReuseSlotsBoundsGrowth(t *testing.T) {
 	}
 }
 
+// oldEvent is one arrival or exit of the pre-Dynamics event slice.
+type oldEvent struct {
+	arrive bool
+	vt     cluster.VMType
+}
+
 // oldReplay is the pre-Dynamics event-slice implementation, kept verbatim as
-// the regression oracle for the Replay compatibility wrapper.
-func oldReplay(c *cluster.Cluster, events []Event, rng *rand.Rand) (arrivals, exits int) {
+// the regression oracle for Dynamics.Arrive and Dynamics.ExitRandom.
+func oldReplay(c *cluster.Cluster, events []oldEvent, rng *rand.Rand) (arrivals, exits int) {
 	for _, ev := range events {
-		if ev.Arrive {
-			id := c.AddVM(ev.Type)
+		if ev.arrive {
+			id := c.AddVM(ev.vt)
 			if BestFit(c, id) >= 0 {
 				arrivals++
 			}
@@ -163,22 +169,37 @@ func oldReplay(c *cluster.Cluster, events []Event, rng *rand.Rand) (arrivals, ex
 	return arrivals, exits
 }
 
-// TestReplayMatchesOldEventSliceSemantics pins the compatibility wrapper to
-// the old semantics bit for bit: same events, same rng seed, identical final
-// cluster state and counts.
-func TestReplayMatchesOldEventSliceSemantics(t *testing.T) {
+// TestDynamicsMatchesOldEventSliceSemantics pins Arrive and ExitRandom to
+// the old event-slice semantics bit for bit: the same seeded arrive/exit
+// sequence, exits resolved from the same rng seed, must give an identical
+// final cluster and identical counts. Exits outnumber arrivals so the
+// sequence also empties the cluster, where an exit must consume no rng.
+func TestDynamicsMatchesOldEventSliceSemantics(t *testing.T) {
+	mix := []cluster.VMType{cluster.StandardTypes[0], cluster.StandardTypes[2], cluster.StandardTypes[5]}
 	for seed := int64(0); seed < 5; seed++ {
 		gen := rand.New(rand.NewSource(seed))
 		base := trace.MustProfile("tiny").GenerateMapping(gen)
-		mix := []cluster.VMType{cluster.StandardTypes[0], cluster.StandardTypes[2], cluster.StandardTypes[5]}
-		events := Stream(gen, 90, 5, mix)
+		events := make([]oldEvent, 3*len(base.VMs))
+		for i := range events {
+			if gen.Float64() < 0.3 {
+				events[i] = oldEvent{arrive: true, vt: mix[gen.Intn(len(mix))]}
+			}
+		}
 
 		oldC, newC := base.Clone(), base.Clone()
 		oldArr, oldEx := oldReplay(oldC, events, rand.New(rand.NewSource(seed+100)))
-		newArr, newEx := Replay(newC, events, rand.New(rand.NewSource(seed+100)))
+		d := NewDynamics(newC, rand.New(rand.NewSource(seed+100)), nil, nil)
+		for _, ev := range events {
+			if ev.arrive {
+				d.Arrive(ev.vt)
+			} else {
+				d.ExitRandom()
+			}
+		}
+		st := d.Stats()
 
-		if oldArr != newArr || oldEx != newEx {
-			t.Fatalf("seed %d: counts (%d,%d) != old (%d,%d)", seed, newArr, newEx, oldArr, oldEx)
+		if oldArr != st.Arrivals || oldEx != st.Exits {
+			t.Fatalf("seed %d: counts (%d,%d) != old (%d,%d)", seed, st.Arrivals, st.Exits, oldArr, oldEx)
 		}
 		if len(oldC.VMs) != len(newC.VMs) {
 			t.Fatalf("seed %d: vm counts differ: %d vs %d", seed, len(newC.VMs), len(oldC.VMs))

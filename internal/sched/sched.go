@@ -4,11 +4,10 @@
 // that evolves a live cluster through the diurnal arrival/exit churn of
 // Fig. 1 while a rescheduling solution is being computed (Fig. 5).
 //
-// Dynamics is the primary interface: it owns a minute clock and applies
+// Dynamics is the one churn engine: it owns a minute clock and applies
 // Poisson arrivals (placed by BestFit) and uniform-random exits in place as
-// the clock is advanced. Stream and Replay are retained as thin
-// compatibility wrappers over the same event application logic for callers
-// that want a precomputed event slice.
+// the clock is advanced; Arrive and ExitRandom apply single events for
+// callers that script their own churn.
 //
 // # Failure dynamics
 //
@@ -95,18 +94,6 @@ func canHostUnplaced(c *cluster.Cluster, id, pm int) bool {
 	return true
 }
 
-// Event is one VM arrival or exit in a replayed stream. An exit does not
-// name a VM: the stream is generated independently of any cluster, so Replay
-// resolves each exit against the VMs actually placed at replay time by
-// sampling uniformly from them.
-type Event struct {
-	Minute int
-	// Arrive is true for a new VM request, false for an exit.
-	Arrive bool
-	// Type is the flavor of an arriving VM.
-	Type cluster.VMType
-}
-
 // DiurnalRate returns the expected VM changes per minute at the given minute
 // of day, reproducing the shape of paper Fig. 1: a midday peak (deploy hours)
 // and an early-morning trough where VMR runs. peak scales the curve.
@@ -115,25 +102,6 @@ func DiurnalRate(minute int, peak float64) float64 {
 	phase := 2 * math.Pi * (float64(minute)/1440.0 - 4.0/24.0)
 	base := 0.55 - 0.45*math.Cos(phase)
 	return peak * base
-}
-
-// Stream generates minutes' worth of arrival/exit events against the mix of
-// the given profile-like type weights. The arrival and exit rates follow the
-// same diurnal curve (steady-state population), with Poisson-like counts.
-func Stream(rng *rand.Rand, minutes int, peak float64, mix []cluster.VMType) []Event {
-	var events []Event
-	for m := 0; m < minutes; m++ {
-		rate := DiurnalRate(m, peak)
-		n := poisson(rng, rate)
-		for i := 0; i < n; i++ {
-			if rng.Float64() < 0.5 {
-				events = append(events, Event{Minute: m, Arrive: true, Type: mix[rng.Intn(len(mix))]})
-			} else {
-				events = append(events, Event{Minute: m, Arrive: false})
-			}
-		}
-	}
-	return events
 }
 
 func poisson(rng *rand.Rand, lambda float64) int {
@@ -147,33 +115,4 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		p *= rng.Float64()
 	}
 	return k - 1
-}
-
-// Replay applies a precomputed event slice to the cluster: arrivals are
-// placed by BestFit (and dropped when no PM fits), exits remove a uniformly
-// random placed VM. It mutates c in place and returns counts of applied
-// arrivals and exits.
-//
-// Replay is a compatibility wrapper over the Dynamics engine: it feeds each
-// event through the same apply logic Advance uses, consuming rng identically
-// to the original event-slice implementation (one Intn draw per resolvable
-// exit, nothing for arrivals).
-func Replay(c *cluster.Cluster, events []Event, rng *rand.Rand) (arrivals, exits int) {
-	d := NewDynamics(c, rng, nil, nil)
-	for _, ev := range events {
-		d.apply(ev)
-	}
-	return d.stats.Arrivals, d.stats.Exits
-}
-
-// PerMinuteCounts aggregates a stream into changes-per-minute, the series
-// plotted in paper Fig. 1.
-func PerMinuteCounts(events []Event, minutes int) []int {
-	counts := make([]int, minutes)
-	for _, ev := range events {
-		if ev.Minute >= 0 && ev.Minute < minutes {
-			counts[ev.Minute]++
-		}
-	}
-	return counts
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vmr2l/internal/cluster"
-	"vmr2l/internal/trace"
 )
 
 func TestBestFitPrefersFragmentReduction(t *testing.T) {
@@ -71,37 +70,6 @@ func TestDiurnalRateShape(t *testing.T) {
 	// Scale linearity.
 	if math.Abs(DiurnalRate(600, 20)-2*DiurnalRate(600, 10)) > 1e-9 {
 		t.Error("peak scaling not linear")
-	}
-}
-
-func TestStreamAndPerMinuteCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	mix := []cluster.VMType{cluster.StandardTypes[0], cluster.StandardTypes[1]}
-	events := Stream(rng, 120, 8, mix)
-	if len(events) == 0 {
-		t.Fatal("no events generated")
-	}
-	counts := PerMinuteCounts(events, 120)
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != len(events) {
-		t.Fatalf("counts sum %d != events %d", total, len(events))
-	}
-}
-
-func TestReplayKeepsClusterValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	c := trace.MustProfile("tiny").GenerateMapping(rng)
-	mix := []cluster.VMType{cluster.StandardTypes[0], cluster.StandardTypes[1], cluster.StandardTypes[2]}
-	events := Stream(rng, 60, 4, mix)
-	arr, ex := Replay(c, events, rng)
-	if arr == 0 && ex == 0 {
-		t.Fatal("replay applied nothing")
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -99,7 +99,7 @@ func TestBatchValuesMatchesValuesBatch(t *testing.T) {
 	for i := range states {
 		states[i] = testEnv(t, int64(860+i), 3+i%2, 8+i, 3).Cluster()
 	}
-	bc := policy.NewBatchInferCtx()
+	bc := policy.NewInferCtx()
 	want := m.ValuesBatch(bc, states, nil)
 	s := NewScheduler(m, Options{})
 	defer s.Close()

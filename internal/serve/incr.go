@@ -22,8 +22,9 @@ import (
 // just loses its cache (the next row re-primes). An env that is Reset or
 // recycled marks its journal full-dirty, so a stale cache degrades to a
 // counted fallback, never a wrong answer. Hit/miss/fallback counters are
-// aggregated into Stats — visible at /debug/vmr2l/serving — so cache
-// effectiveness is observable and every full recompute is accounted for.
+// aggregated into Stats — exported as vmr2l_serve_incr_* on GET /metrics —
+// so cache effectiveness is observable and every full recompute is
+// accounted for.
 
 // IncrementalMode selects whether WaveInfer rows go through per-session
 // step caches.

@@ -53,7 +53,7 @@ type stepRecord struct {
 func rolloutSequential(t *testing.T, m *policy.Model, env *sim.Env, kind policy.WaveKind, seed int64, opts policy.SampleOpts) []stepRecord {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	bc := policy.NewBatchInferCtx()
+	bc := policy.NewInferCtx()
 	var recs []stepRecord
 	for !env.Done() {
 		var rec stepRecord
