@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -39,6 +38,7 @@ import (
 	"time"
 
 	"vmr2l/internal/coord"
+	"vmr2l/internal/service"
 )
 
 // replicaFlags collects repeated -replica name=url flags.
@@ -92,7 +92,7 @@ func main() {
 		RedirectReads: *redirect,
 	})
 
-	srv := &http.Server{Addr: *addr, Handler: co}
+	srv := service.NewHTTPServer(*addr, co)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

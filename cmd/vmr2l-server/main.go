@@ -336,6 +336,8 @@ func main() {
 		svcOpts = append(svcOpts, service.WithCloser(sched))
 		// Inference-scheduler counters join GET /metrics alongside the
 		// service's own, so one Prometheus scrape covers the whole replica.
+		// vmr2l_serve_incr_sessions is the number of live rollout caches;
+		// it reads 0 when the replica is idle.
 		svcOpts = append(svcOpts, service.WithMetrics(func() map[string]float64 {
 			st := sched.Stats()
 			return map[string]float64{
@@ -365,7 +367,7 @@ func main() {
 		fmt.Printf("serving VMR2L checkpoint %s (%s path, wave-rows %d, wave-wait %s)\n", *ckpt, path, *waveRows, *waveWait)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: s}
+	srv := service.NewHTTPServer(*addr, s)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

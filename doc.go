@@ -149,11 +149,14 @@
 // model identity, parameter version, cluster identity, and journal token;
 // any mismatch or moved normalizer falls back to a full recompute into the
 // same caches. Every forward is counted as a hit, miss, or fallback
-// (InferCtx.IncrStats) — recomputes are never silent. internal/serve
-// routes Env-carrying rollout requests through LRU-bounded per-session
-// incremental contexts (Options.Incremental: Auto engages for the fully
-// incremental extractor=none models) and exports its counters as
-// vmr2l_serve_incr_* on GET /metrics. A go test in internal/bench gates
+// (InferCtx.IncrStats) — recomputes are never silent. In internal/serve,
+// whoever submits a row owns its step cache and releases it: serve.Agent
+// takes one pooled incremental context per environment, submits each row
+// with its cache, and releases them all when the rollout ends
+// (Options.Incremental: Auto engages for the fully incremental
+// extractor=none models). Counters are exported as vmr2l_serve_incr_* on
+// GET /metrics, vmr2l_serve_incr_sessions being the number of live rollout
+// caches. A go test in internal/bench gates
 // exact-trajectory parity on every registry scenario, float and int8.
 //
 // # Multi-node serving & failover

@@ -71,9 +71,11 @@ func NewBatchInferCtx() *InferCtx { return NewInferCtx() }
 var ctxPool = sync.Pool{New: func() any { return NewInferCtx() }}
 
 // AcquireCtx returns a pooled inference context with warm buffers; call
-// Release when done. External consumers (risk-seeking evaluation, MCTS value
-// priors, the serving scheduler) use this instead of growing a fresh
-// context's arena per request.
+// Release when done. Short-lived consumers (risk-seeking evaluation, MCTS
+// value priors, serve.Agent rollouts and their step caches) use this instead
+// of growing a fresh context's arena per request; a holder for the life of
+// a long-running owner takes NewInferCtx, so it keeps no warm context out
+// of circulation.
 func AcquireCtx() *InferCtx { return ctxPool.Get().(*InferCtx) }
 
 // Release returns the context to the pool. The context must not be used

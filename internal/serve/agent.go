@@ -52,8 +52,19 @@ func (a *Agent) Solve(ctx context.Context, env *sim.Env) error {
 // Seed+1000003·i, same rng consumption order. Implements the
 // shard.BatchSolver contract, so a sharded solve registered with this agent
 // batches across shards through the scheduler. A scheduler closed mid-solve
-// is the returned error.
+// is the returned error. With incremental serving on, the rollout owns one
+// pooled step cache per environment and releases them all when Rollout
+// returns, whatever ends it.
 func (a *Agent) SolveBatch(ctx context.Context, envs []*sim.Env) error {
-	return a.Sched.Model().Rollout(ctx, a.Sched.SubmitMany, envs,
+	s := a.Sched
+	wave := s.SubmitMany
+	if s.incrOn {
+		caches := s.acquireCaches(envs)
+		defer s.releaseCaches(caches)
+		wave = func(ctx context.Context, reqs []policy.WaveReq, res []policy.WaveRes) ([]policy.WaveRes, error) {
+			return s.submitMany(ctx, reqs, caches, res)
+		}
+	}
+	return s.Model().Rollout(ctx, wave, envs,
 		policy.EnvRngs(a.Seed, len(envs)), []policy.SampleOpts{a.Opts}, a.EarlyStop)
 }

@@ -12,18 +12,6 @@ import (
 	"vmr2l/internal/solver"
 )
 
-func plansEqual(t *testing.T, label string, want, got []sim.Migration) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: %d migrations != %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s: migration %d: %+v != %+v", label, i, got[i], want[i])
-		}
-	}
-}
-
 // TestAgentSolveMatchesPolicyAgent pins the scheduler-backed solver against
 // the direct policy.Agent: identical plan, same seed, per action mode.
 func TestAgentSolveMatchesPolicyAgent(t *testing.T) {
@@ -40,7 +28,7 @@ func TestAgentSolveMatchesPolicyAgent(t *testing.T) {
 		if err := served.Solve(context.Background(), envB); err != nil {
 			t.Fatal(err)
 		}
-		plansEqual(t, string(rune(mode))+" solve", envA.Plan(), envB.Plan())
+		checkPrefix(t, string(rune(mode))+" solve", envA.Plan(), envB.Plan(), true)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +74,7 @@ func TestAgentSolveBatchMatchesPolicyAgent(t *testing.T) {
 	wg.Wait()
 	for c := 0; c < 2; c++ {
 		for b := 0; b < B; b++ {
-			plansEqual(t, "solvebatch", want[b].Plan(), got[c][b].Plan())
+			checkPrefix(t, "solvebatch", want[b].Plan(), got[c][b].Plan(), true)
 		}
 	}
 }

@@ -5,54 +5,45 @@ import (
 	"vmr2l/internal/sim"
 )
 
-// Incremental serving. Rollout sessions submit one WaveInfer row per step
-// against the same environment, and consecutive steps differ by a single
-// migration — exactly the access pattern the policy step cache
+// Incremental serving. A rollout submits one WaveInfer row per step against
+// the same environment, and consecutive steps differ by a single migration
+// — exactly the access pattern the policy step cache
 // (policy.InferCtx.SetIncremental) turns into row patches instead of full
-// forwards. The scheduler keeps one incremental InferCtx per live
-// environment and, when enabled, serves WaveInfer rows through it — a wave
-// of one fed by the step cache — rather than the shared ServeWave, whose
-// front end recomputes every row. Results are bit-identical either way (the
-// wave kernels compute each row independently, and the step cache is
-// bit-exact by construction), so routing is purely a throughput decision.
-// Rows of different sessions are still resolved one at a time here:
+// forwards. When enabled, Agent takes one pooled incremental InferCtx per
+// environment for the length of its rollout and attaches it to every row it
+// submits; the runner serves such a row as a wave of one fed by the step
+// cache, rather than through the shared ServeWave, whose front end
+// recomputes every row. A WaveInfer row submitted bare (Submit, Infer) goes
+// through the runner's one cache of its own, which a stream of rows on one
+// env keeps warm and which pins at most that env. Results are bit-identical
+// either way (the wave kernels compute each row independently, and the step
+// cache is bit-exact by construction), so routing is purely a throughput
+// decision. Rows of different rollouts are still resolved one at a time:
 // stacking their dirty rows into one GEMM is an open ROADMAP item.
 //
-// Sessions are keyed by *sim.Env and bounded by an LRU: an evicted session
-// just loses its cache (the next row re-primes). An env that is Reset or
-// recycled marks its journal full-dirty, so a stale cache degrades to a
-// counted fallback, never a wrong answer. Hit/miss/fallback counters are
-// aggregated into Stats — exported as vmr2l_serve_incr_* on GET /metrics —
-// so cache effectiveness is observable and every full recompute is
-// accounted for.
+// Ownership rule: whoever submits a row owns its cache and releases it. The
+// runner touches a cache only while the row is sealed into a wave, and
+// SubmitMany returns only once every admitted row has resolved, so when a
+// rollout ends — normally, on cancellation, or on Close — it hands its
+// caches back to the pool and the scheduler keeps no reference to its envs.
+// Hit/miss/fallback counters are aggregated into Stats — exported as
+// vmr2l_serve_incr_* on GET /metrics — so every full recompute is counted.
 
-// IncrementalMode selects whether WaveInfer rows go through per-session
-// step caches.
+// IncrementalMode selects whether WaveInfer rows are served through step
+// caches.
 type IncrementalMode int
 
 const (
-	// IncrementalAuto (the default) enables session caches when the model's
+	// IncrementalAuto (the default) enables step caches when the model's
 	// extractor supports a fully incremental forward (NoAttention); dense
 	// and tree extractors recompute their attention suffix anyway, so those
 	// models stay on the batched path where rows share GEMM waves.
 	IncrementalAuto IncrementalMode = iota
-	// IncrementalOn forces session caches for every model.
+	// IncrementalOn forces step caches for every model.
 	IncrementalOn
 	// IncrementalOff disables them; all rows ride batched waves.
 	IncrementalOff
 )
-
-// maxIncrSessions bounds the per-env cache map. Beyond it the
-// least-recently-served session is dropped (its next row re-primes).
-const maxIncrSessions = 64
-
-// incrSession is one environment's serving cache: a persistent incremental
-// InferCtx plus the counter snapshot already folded into the aggregate.
-type incrSession struct {
-	ic      *policy.InferCtx
-	last    policy.IncrStats
-	lastUse uint64
-}
 
 // incrEnabled resolves the mode against the model at scheduler start.
 func incrEnabled(mode IncrementalMode, m *policy.Model) bool {
@@ -66,62 +57,46 @@ func incrEnabled(mode IncrementalMode, m *policy.Model) bool {
 	}
 }
 
-// serveIncr resolves one sealed WaveInfer row through its session cache.
-// Runner goroutine only.
-func (s *Scheduler) serveIncr(p *pending) {
-	sess := s.session(p.req.Env)
-	vm, pm, err := s.model.Infer(sess.ic, p.req.Env, p.req.Rng, p.req.Opts)
-	p.res = policy.WaveRes{VM: vm, PM: pm, Err: err}
-	st := sess.ic.IncrStats()
-	s.accRows++
-	s.accHits += st.Hits - sess.last.Hits
-	s.accMisses += st.Misses - sess.last.Misses
-	s.accFallbacks += st.Fallbacks - sess.last.Fallbacks
-	sess.last = st
-	close(p.done)
-}
-
-// session returns env's cache, creating (and LRU-evicting) as needed.
-// Runner goroutine only.
-func (s *Scheduler) session(env *sim.Env) *incrSession {
-	if s.sessions == nil {
-		s.sessions = make(map[*sim.Env]*incrSession)
-	}
-	sess := s.sessions[env]
-	if sess == nil {
-		if len(s.sessions) >= maxIncrSessions {
-			s.evictIncrLRU()
-		}
-		sess = &incrSession{ic: policy.NewInferCtx()}
-		sess.ic.SetIncremental(true)
-		s.sessions[env] = sess
-	}
-	sess.lastUse = s.waveSeq
-	return sess
-}
-
-// evictIncrLRU drops the least-recently-served session. Its counters were
-// folded into the aggregate per row, so nothing is lost.
-func (s *Scheduler) evictIncrLRU() {
-	var victimEnv *sim.Env
-	var victim *incrSession
-	for e, sess := range s.sessions {
-		if victim == nil || sess.lastUse < victim.lastUse {
-			victimEnv, victim = e, sess
+// acquireCaches takes one pooled incremental context per environment for a
+// rollout and counts them in Stats.IncrSessions until releaseCaches.
+func (s *Scheduler) acquireCaches(envs []*sim.Env) map[*sim.Env]*policy.InferCtx {
+	caches := make(map[*sim.Env]*policy.InferCtx, len(envs))
+	for _, env := range envs {
+		if caches[env] == nil {
+			caches[env] = policy.AcquireCtx()
+			caches[env].SetIncremental(true)
 		}
 	}
-	delete(s.sessions, victimEnv)
-}
-
-// flushIncr publishes the runner-local counter deltas under the lock so
-// Stats sees a consistent snapshot after every wave.
-func (s *Scheduler) flushIncr() {
 	s.mu.Lock()
-	s.incrRows += s.accRows
-	s.incrHits += s.accHits
-	s.incrMisses += s.accMisses
-	s.incrFallbacks += s.accFallbacks
-	s.incrSessions = len(s.sessions)
+	s.incrSessions += len(caches)
 	s.mu.Unlock()
-	s.accRows, s.accHits, s.accMisses, s.accFallbacks = 0, 0, 0, 0
+	return caches
+}
+
+// releaseCaches returns a rollout's contexts to the pool. The rollout must
+// have no rows in flight.
+func (s *Scheduler) releaseCaches(caches map[*sim.Env]*policy.InferCtx) {
+	for _, ic := range caches {
+		ic.SetIncremental(false)
+		ic.Release()
+	}
+	s.mu.Lock()
+	s.incrSessions -= len(caches)
+	s.mu.Unlock()
+}
+
+// serveIncr resolves one sealed WaveInfer row through the step cache ic
+// and publishes the cache's counter deltas. Runner goroutine only.
+func (s *Scheduler) serveIncr(p *pending, ic *policy.InferCtx) {
+	before := ic.IncrStats()
+	vm, pm, err := s.model.Infer(ic, p.req.Env, p.req.Rng, p.req.Opts)
+	p.res = policy.WaveRes{VM: vm, PM: pm, Err: err}
+	after := ic.IncrStats()
+	s.mu.Lock()
+	s.incrRows++
+	s.incrHits += after.Hits - before.Hits
+	s.incrMisses += after.Misses - before.Misses
+	s.incrFallbacks += after.Fallbacks - before.Fallbacks
+	s.mu.Unlock()
+	close(p.done)
 }

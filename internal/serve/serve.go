@@ -15,7 +15,8 @@
 // stream — batching changes throughput, never answers. The scheduler adds no
 // inference code of its own: full recomputes are policy.Model.ServeWave on
 // the runner's context, step-cache rows (incr.go) are policy.Model.Infer on
-// the session's, and rollouts (Agent) are policy.Model.Rollout with
+// the cache the row carries (whoever submits a row owns its cache and
+// releases it), and rollouts (Agent) are policy.Model.Rollout with
 // SubmitMany computing the waves.
 //
 // Two knobs shape admission:
@@ -68,8 +69,9 @@ type Options struct {
 	// newest queued row of the lowest priority, which resolves with ErrShed.
 	// 0 means never shed.
 	ShedDepth int
-	// Incremental routes WaveInfer rows through per-session step caches
-	// (see incr.go). The zero value is IncrementalAuto.
+	// Incremental serves WaveInfer rows through step caches: each Agent
+	// rollout's own, and the runner's for rows submitted without one (see
+	// incr.go). The zero value is IncrementalAuto.
 	Incremental IncrementalMode
 }
 
@@ -113,11 +115,11 @@ type Stats struct {
 	// MaxWave and MeanWave describe achieved wave sizes.
 	MaxWave  int     `json:"max_wave"`
 	MeanWave float64 `json:"mean_wave"`
-	// IncrRows counts rows served through per-session step caches instead
-	// of batched waves; IncrHits/IncrMisses/IncrFallbacks break those rows
-	// down by cache outcome (see policy.IncrStats — every full recompute is
-	// a counted miss or fallback, never silent). IncrSessions is the number
-	// of live session caches.
+	// IncrRows counts rows served through a step cache instead of batched
+	// waves; IncrHits/IncrMisses/IncrFallbacks break those rows down by
+	// cache outcome (see policy.IncrStats — every full recompute is a
+	// counted miss or fallback, never silent). IncrSessions is the number
+	// of caches held by rollouts in flight (0 when idle).
 	IncrRows      uint64 `json:"incr_rows"`
 	IncrHits      uint64 `json:"incr_hits"`
 	IncrMisses    uint64 `json:"incr_misses"`
@@ -127,18 +129,20 @@ type Stats struct {
 
 // pending is one submitted row: the request, and the slot its result is
 // written into before done is closed. err is ctx.Err() when the row was
-// dropped on cancellation.
+// dropped on cancellation. ic is the submitter's step cache, if any.
 type pending struct {
 	ctx  context.Context
 	req  policy.WaveReq
+	ic   *policy.InferCtx
 	res  policy.WaveRes
 	err  error
 	done chan struct{}
 }
 
-// Scheduler owns a single runner goroutine and one pooled inference context;
-// all forward passes go through it. Safe for concurrent Submit from any number
-// of goroutines.
+// Scheduler owns a single runner goroutine and its inference context; all
+// forward passes go through it. Safe for concurrent Submit from any number
+// of goroutines. The context is not taken from policy's pool: the runner
+// holds it for life, and would keep a rollout's warm cache out of the pool.
 type Scheduler struct {
 	model *policy.Model
 	opts  Options
@@ -158,39 +162,39 @@ type Scheduler struct {
 	ran       chan struct{}
 	closeOnce sync.Once
 
-	// Incremental-serving counters (published under mu by flushIncr).
+	// Incremental-serving counters (see incr.go).
 	incrRows, incrHits, incrMisses, incrFallbacks uint64
 	incrSessions                                  int
 
+	// incrOn is the resolved Options.Incremental; immutable.
+	incrOn bool
+
 	// Runner-owned scratch; only the runner goroutine touches these.
-	bc        *policy.InferCtx
+	bc *policy.InferCtx
+	// bareIC serves WaveInfer rows submitted without a cache when incrOn
+	// (see incr.go); made at the first such row.
+	bareIC    *policy.InferCtx
 	reqBuf    []policy.WaveReq
 	resBuf    []policy.WaveRes
 	wavePend  []*pending
 	batchPend []*pending
-
-	// Runner-owned incremental-serving state (see incr.go).
-	incrOn                                    bool
-	sessions                                  map[*sim.Env]*incrSession
-	waveSeq                                   uint64
-	accRows, accHits, accMisses, accFallbacks uint64
 }
 
 // NewScheduler starts a scheduler serving waves for m. Close it to stop the
-// runner and release the batch context.
+// runner.
 func NewScheduler(m *policy.Model, opts Options) *Scheduler {
 	if opts.MaxRows <= 0 {
 		opts.MaxRows = 128
 	}
 	s := &Scheduler{
-		model: m,
-		opts:  opts,
-		kick:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-		ran:   make(chan struct{}),
-		bc:    policy.AcquireCtx(),
+		model:  m,
+		opts:   opts,
+		kick:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		ran:    make(chan struct{}),
+		bc:     policy.NewInferCtx(),
+		incrOn: incrEnabled(opts.Incremental, m),
 	}
-	s.incrOn = incrEnabled(opts.Incremental, m)
 	go s.run()
 	return s
 }
@@ -199,8 +203,8 @@ func NewScheduler(m *policy.Model, opts Options) *Scheduler {
 // for mode-dependent stepping).
 func (s *Scheduler) Model() *policy.Model { return s.model }
 
-// Close stops the runner after serving every already-queued row and returns
-// the batch context to the pool. Idempotent; implements io.Closer.
+// Close stops the runner after serving every already-queued row.
+// Idempotent; implements io.Closer.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -301,6 +305,13 @@ func (s *Scheduler) admitLocked(p *pending) {
 // submission failure (cancellation drop or ErrClosed); per-row model errors
 // (ErrNoMigratableVM) stay in each WaveRes.Err.
 func (s *Scheduler) SubmitMany(ctx context.Context, reqs []policy.WaveReq, res []policy.WaveRes) ([]policy.WaveRes, error) {
+	return s.submitMany(ctx, reqs, nil, res)
+}
+
+// submitMany is SubmitMany with each row carrying its env's step cache from
+// caches (none when caches is nil). On return the runner no longer touches
+// any of them.
+func (s *Scheduler) submitMany(ctx context.Context, reqs []policy.WaveReq, caches map[*sim.Env]*policy.InferCtx, res []policy.WaveRes) ([]policy.WaveRes, error) {
 	if cap(res) < len(reqs) {
 		res = make([]policy.WaveRes, len(reqs))
 	} else {
@@ -316,7 +327,7 @@ func (s *Scheduler) SubmitMany(ctx context.Context, reqs []policy.WaveReq, res [
 		return res, ErrClosed
 	}
 	for i := range reqs {
-		ps[i] = &pending{ctx: ctx, req: reqs[i], done: make(chan struct{})}
+		ps[i] = &pending{ctx: ctx, req: reqs[i], ic: caches[reqs[i].Env], done: make(chan struct{})}
 		s.admitLocked(ps[i])
 	}
 	s.submitted += uint64(len(reqs))
@@ -416,10 +427,7 @@ func (s *Scheduler) abandon(p *pending) {
 // execute one wave, repeat. On stop it drains the remaining queue so no
 // submitter is left blocked.
 func (s *Scheduler) run() {
-	defer func() {
-		s.bc.Release()
-		close(s.ran)
-	}()
+	defer close(s.ran)
 	for {
 		s.mu.Lock()
 		empty := len(s.queue) == 0
@@ -504,23 +512,25 @@ func (s *Scheduler) wave() {
 	if n == 0 {
 		return
 	}
-	// Route cache-friendly rows through their session's incremental ctx;
-	// everything else shares one batched ServeWave. Both paths produce
+	// Rows that carry a step cache are served through it, and bare
+	// WaveInfer rows through the runner's own when incremental serving is
+	// on; everything else shares one batched ServeWave. Both paths produce
 	// identical bits for identical requests, so the split never changes
 	// results, only which kernels compute them.
 	batch := s.batchPend[:0]
-	if s.incrOn {
-		s.waveSeq++
-		for _, p := range s.wavePend {
-			if p.req.Kind == policy.WaveInfer && p.req.Env != nil {
-				s.serveIncr(p)
-				continue
+	for _, p := range s.wavePend {
+		switch {
+		case p.ic != nil:
+			s.serveIncr(p, p.ic)
+		case s.incrOn && p.req.Kind == policy.WaveInfer && p.req.Env != nil:
+			if s.bareIC == nil {
+				s.bareIC = policy.NewInferCtx()
+				s.bareIC.SetIncremental(true)
 			}
+			s.serveIncr(p, s.bareIC)
+		default:
 			batch = append(batch, p)
 		}
-		s.flushIncr()
-	} else {
-		batch = append(batch, s.wavePend...)
 	}
 	s.batchPend = batch
 	if len(batch) == 0 {

@@ -189,8 +189,10 @@ type job struct {
 	shards  int
 	// sess, when non-nil, makes this a session-scoped job: mapping is a
 	// snapshot of the session cluster, and the finished plan is repaired
-	// against the live session state before being reported.
-	sess *session
+	// against the live session state before being reported. sessID is its
+	// id, kept for status once the job has dropped its inputs.
+	sess   *session
+	sessID string
 
 	mu       sync.Mutex
 	state    JobState
@@ -202,14 +204,17 @@ type job struct {
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
-		ID: j.id, State: j.state, Solver: j.name,
+	return JobStatus{
+		ID: j.id, State: j.state, Solver: j.name, Session: j.sessID,
 		TimedOut: j.timedOut, Result: j.result, Error: j.err,
 	}
-	if j.sess != nil {
-		st.Session = j.sess.id
-	}
-	return st
+}
+
+// dropInputs forgets what only the solve needed, so a finished job keeps
+// its result and pins no cluster, engine or session while it stays
+// pollable. Worker goroutine only, with j.mu held.
+func (j *job) dropInputs() {
+	j.mapping, j.sv, j.engines, j.sess = nil, nil, nil, nil
 }
 
 // Server routes rescheduling requests to registered solvers and owns the
@@ -306,6 +311,21 @@ func WithQueueDepth(n int) Option {
 // disappear mid-solve. May be given multiple times; closed in order.
 func WithCloser(c io.Closer) Option {
 	return func(s *Server) { s.closers = append(s.closers, c) }
+}
+
+// NewHTTPServer is the production listener for a replica or coordinator
+// handler. A client must finish its request header within 10 s, and an idle
+// keep-alive connection is closed after 2 min (longer than the default
+// client transport's 90 s, so a client never reuses a connection the server
+// is closing). Neither bounds a request body or a solve, so large mapping
+// uploads are unaffected.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 // New builds a server and starts its worker pool. Unless WithDefaultEngine
@@ -668,6 +688,7 @@ func (s *Server) worker() {
 			// rather than reporting a zero-step solve as a success.
 			j.mu.Lock()
 			j.state, j.err = JobFailed, "canceled: server shut down before the solve started"
+			j.dropInputs()
 			j.mu.Unlock()
 			continue
 		}
@@ -685,6 +706,7 @@ func (s *Server) worker() {
 		} else {
 			j.state, j.result = JobSucceeded, resp
 		}
+		j.dropInputs()
 		j.mu.Unlock()
 	}
 }
@@ -726,11 +748,7 @@ func (s *Server) submitJob(w http.ResponseWriter, j *job) {
 	s.jobOrder = append(s.jobOrder, j.id)
 	s.evictFinishedLocked()
 	s.jobsMu.Unlock()
-	st := JobStatus{ID: j.id, State: JobQueued, Solver: j.name}
-	if j.sess != nil {
-		st.Session = j.sess.id
-	}
-	writeJSON(w, http.StatusAccepted, st)
+	writeJSON(w, http.StatusAccepted, JobStatus{ID: j.id, State: JobQueued, Solver: j.name, Session: j.sessID})
 }
 
 // retryAfter estimates, in whole seconds (minimum 1), when a queue slot is

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -522,5 +524,36 @@ func TestWithDefaultEngine(t *testing.T) {
 	}
 	if resp.Solver != "SwapHA(6)" {
 		t.Errorf("default engine served %q, want SwapHA(6)", resp.Solver)
+	}
+}
+
+// TestHTTPServerDropsStalledHeader: the production listener disconnects a
+// client that stops part way through its request header instead of holding
+// the connection open forever. The test shortens the header deadline so the
+// stall is seen in milliseconds; the mechanism is the same field.
+func TestHTTPServerDropsStalledHeader(t *testing.T) {
+	srv := NewHTTPServer("127.0.0.1:0", testServer(t))
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("production server without timeouts: header %v, idle %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	srv.ReadHeaderTimeout = 50 * time.Millisecond
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: replica\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client still connected: %v", err)
 	}
 }

@@ -494,7 +494,7 @@ func (s *Server) parseSessionJob(req PlanRequest, sess *session) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j.sess = sess
+	j.sess, j.sessID = sess, sess.id
 	return j, nil
 }
 

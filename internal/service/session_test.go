@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"vmr2l/internal/cluster"
 	"vmr2l/internal/heuristics"
@@ -178,6 +181,51 @@ func TestSessionDelete(t *testing.T) {
 	s.ServeHTTP(w, httptest.NewRequest(http.MethodDelete, "/v2/clusters/"+st.ID, nil))
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("double delete: status %d", w.Code)
+	}
+}
+
+// TestFinishedJobPinsNoSessionCluster: a finished session job keeps its
+// result, not its inputs. Once the job has succeeded and its upload session
+// is deleted, the session's cluster is collected, while the job still polls
+// to the same status.
+func TestFinishedJobPinsNoSessionCluster(t *testing.T) {
+	s := testServer(t)
+	mapping, _ := mappingJSON(t, 5)
+	st := createSession(t, s, SessionRequest{Mapping: mapping})
+	s.sessMu.RLock()
+	live := weak.Make(s.sessions[st.ID].c)
+	s.sessMu.RUnlock()
+
+	w := postRaw(t, s, "/v2/clusters/"+st.ID+"/jobs", PlanRequest{MNL: 4})
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("session job: status %d: %s", w.Code, w.Body.String())
+	}
+	var queued JobStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &queued); err != nil {
+		t.Fatal(err)
+	}
+	done := waitJob(t, s, queued.ID, 10*time.Second)
+	if done.State != JobSucceeded || done.Session != st.ID {
+		t.Fatalf("session job: %+v", done)
+	}
+	w = httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodDelete, "/v2/clusters/"+st.ID, nil))
+	if w.Code != http.StatusNoContent {
+		t.Fatalf("delete: status %d", w.Code)
+	}
+
+	for i := 0; i < 5 && live.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if live.Value() != nil {
+		t.Fatal("the deleted session's cluster is still reachable after its job finished")
+	}
+	var again JobStatus
+	if code := getJSON(t, s, "/v2/jobs/"+queued.ID, &again); code != http.StatusOK {
+		t.Fatalf("finished job no longer pollable: status %d", code)
+	}
+	if !reflect.DeepEqual(again, done) {
+		t.Fatalf("job status changed after the session went: %+v != %+v", again, done)
 	}
 }
 
