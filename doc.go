@@ -96,8 +96,8 @@
 // serve.Scheduler per model owns a pooled policy.InferCtx and a single
 // runner goroutine, and every concurrent consumer — v2 jobs on the
 // "vmr2l" engine, sharded rollouts, "mcts-prior" critic scoring, rl eval
-// rollouts — submits one row (Submit / SubmitMany, or the typed
-// Infer/Act/BatchValues) and blocks until its wave executes. Rows that
+// rollouts — submits rows (Submit / SubmitMany, or BatchValues for critic
+// scores) and blocks until its wave executes. Rows that
 // arrive while a wave runs coalesce into the next wave, so batching
 // engages exactly when the server is loaded and a lone caller pays no
 // added latency (Options.MaxWait, default 0, can hold a wave open for

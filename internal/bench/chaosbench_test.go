@@ -119,15 +119,15 @@ type chaosLoopStats struct {
 
 // runChaosLoop drives the Fig. 5 serving loop (solve on snapshot → fail and
 // churn live → repair → apply) for chaosCycles×chaosMinutes, mirroring
-// scenario.RunInvariantCheck but collecting the accounting instead of
-// stopping at the first number. stripFailures runs the healthy twin: same
+// the scenario package's invariant check but collecting the accounting
+// instead of stopping at the first number. stripFailures runs the healthy twin: same
 // scenario, same seed, FailureSpec zeroed.
 func runChaosLoop(s scenario.Scenario, stripFailures bool) (chaosLoopStats, error) {
 	var out chaosLoopStats
 	if stripFailures {
 		s.Dynamics.Failures = sched.FailureSpec{}
 	}
-	obj, err := s.ParseObjective()
+	obj, err := sim.ParseObjective(s.Objective)
 	if err != nil {
 		return out, err
 	}
@@ -137,7 +137,7 @@ func runChaosLoop(s scenario.Scenario, stripFailures bool) (chaosLoopStats, erro
 		return out, err
 	}
 	c.FragRate(cluster.DefaultFragCores) // warm aggregates so Validate cross-checks them
-	dyn := s.NewDynamics(c, rng)
+	dyn := s.Dynamics.NewDynamics(c, rng, s.Mix())
 	check := func(stage string, i int) error {
 		if err := c.Validate(); err != nil {
 			return fmt.Errorf("chaos %q cycle %d: %s: %w", s.Name, i, stage, err)
@@ -236,10 +236,10 @@ func chaosShedEnv(fx *shedFixture) *sim.Env {
 }
 
 // runChaosShed runs the deterministic shed overload. With the admission
-// window held open (long MaxWait), shedHeld rows of priority 1 fill the queue
-// to ShedDepth; shedBurst synchronous submissions at priority 0 then arrive
-// as the strictly-lowest row each time and must shed immediately — so the
-// run's shed count is exact, not timing-dependent. The control run repeats
+// window held open (long MaxWait), shedHeld rows fill the queue to
+// ShedDepth; shedBurst synchronous submissions of the same priority then
+// arrive as the newest row each time, lose the tie and must shed
+// immediately — so the run's shed count is exact, not timing-dependent. The control run repeats
 // the burst shape with ShedDepth 0 and must shed nothing.
 func runChaosShed() (ChaosShedResult, error) {
 	const (
@@ -256,7 +256,7 @@ func runChaosShed() (ChaosShedResult, error) {
 	for k := 0; k < shedHeld; k++ {
 		go func(k int) {
 			env := chaosShedEnv(fx)
-			_, err := s.Submit(serve.WithPriority(context.Background(), 1), policy.WaveReq{
+			_, err := s.Submit(context.Background(), policy.WaveReq{
 				Kind: policy.WaveInfer, Env: env,
 				Rng: rand.New(rand.NewSource(int64(k + 1))), Opts: opts,
 			})
@@ -274,7 +274,7 @@ func runChaosShed() (ChaosShedResult, error) {
 	}
 	for k := 0; k < shedBurst; k++ {
 		env := chaosShedEnv(fx)
-		_, err := s.Submit(serve.WithPriority(context.Background(), 0), policy.WaveReq{
+		_, err := s.Submit(context.Background(), policy.WaveReq{
 			Kind: policy.WaveInfer, Env: env,
 			Rng: rand.New(rand.NewSource(int64(100 + k))), Opts: opts,
 		})
@@ -309,7 +309,7 @@ func runChaosShed() (ChaosShedResult, error) {
 		go func(k int) {
 			defer wg.Done()
 			env := chaosShedEnv(fx)
-			_, err := ctl.Submit(serve.WithPriority(context.Background(), -k), policy.WaveReq{
+			_, err := ctl.Submit(context.Background(), policy.WaveReq{
 				Kind: policy.WaveInfer, Env: env,
 				Rng: rand.New(rand.NewSource(int64(200 + k))), Opts: opts,
 			})

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -142,6 +143,23 @@ func fetchSnapshot(hc *http.Client, baseURL, id string) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(resp.Body, 1<<28))
 }
 
+// fetchStatus reads a session's live status over plain HTTP.
+func fetchStatus(hc *http.Client, baseURL, id string) (*service.SessionStatus, error) {
+	resp, err := hc.Get(baseURL + "/v2/clusters/" + id)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %s: status %d", id, resp.StatusCode)
+	}
+	var st service.SessionStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return nil, err
+	}
+	return &st, nil
+}
+
 // runFleet runs the node-level chaos scenario and returns its report.
 func runFleet() (FleetReport, error) {
 	rep := FleetReport{SnapshotMinute: fleetSnapMinutes}
@@ -182,8 +200,7 @@ func runFleet() (FleetReport, error) {
 	defer coSrv.Close()
 	coURL := "http://" + coLn.Addr().String()
 
-	cl := client.New(coURL, client.WithRetry(2, 50*time.Millisecond, 250*time.Millisecond),
-		client.WithPollInterval(5*time.Millisecond))
+	cl := client.New(coURL, client.WithPollInterval(5*time.Millisecond))
 	ctl := client.New(control.url, client.WithPollInterval(5*time.Millisecond))
 	hc := &http.Client{Timeout: 5 * time.Second}
 	ctx := context.Background()
@@ -306,7 +323,7 @@ func runFleet() (FleetReport, error) {
 		if newOwner, ok := co.Owner(id); ok && newOwner != owners[id] {
 			res.NewReplica = newOwner
 		}
-		if st, err := sessions[i].Status(ctx); err == nil {
+		if st, err := fetchStatus(hc, coURL, id); err == nil {
 			res.Minute = st.Minute
 		}
 		if res.Moved {
@@ -320,7 +337,9 @@ func runFleet() (FleetReport, error) {
 			// round-trip on the new replica.
 			if _, err := sessions[i].Advance(ctx, 3); err != nil {
 				rep.PostFailoverOK = false
-			} else if _, err := sessions[i].Reschedule(ctx, service.PlanRequest{MNL: 4, Solver: "ha"}); err != nil {
+			} else if jid, err := sessions[i].Submit(ctx, service.PlanRequest{MNL: 4, Solver: "ha"}); err != nil {
+				rep.PostFailoverOK = false
+			} else if st, err := cl.Wait(ctx, jid); err != nil || st.Result == nil || st.Result.Repair == nil {
 				rep.PostFailoverOK = false
 			}
 		}

@@ -59,7 +59,7 @@ func measureIncrParity(sc scenario.Scenario, ex policy.ExtractorMode, quantize b
 		return incrParityResult{}, err
 	}
 	c := cs[0]
-	obj, err := sc.ParseObjective()
+	obj, err := sim.ParseObjective(sc.Objective)
 	if err != nil {
 		return incrParityResult{}, err
 	}
@@ -201,7 +201,7 @@ func TestIncrRandomScenarioStreamParity(t *testing.T) {
 		}
 		quantize := n%2 == 1
 		t.Run(fmt.Sprintf("%s/ex%d/q%v", sc.Name, ex, quantize), func(t *testing.T) {
-			obj, err := sc.ParseObjective()
+			obj, err := sim.ParseObjective(sc.Objective)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,8 +217,8 @@ func TestIncrRandomScenarioStreamParity(t *testing.T) {
 			}
 			envI := sim.New(c, sim.Config{MNL: 64, Obj: obj})
 			envF := sim.New(c, sim.Config{MNL: 64, Obj: obj})
-			dynI := sc.NewDynamics(envI.Cluster(), rand.New(rand.NewSource(sc.Seed+1)))
-			dynF := sc.NewDynamics(envF.Cluster(), rand.New(rand.NewSource(sc.Seed+1)))
+			dynI := sc.Dynamics.NewDynamics(envI.Cluster(), rand.New(rand.NewSource(sc.Seed+1)), sc.Mix())
+			dynF := sc.Dynamics.NewDynamics(envF.Cluster(), rand.New(rand.NewSource(sc.Seed+1)), sc.Mix())
 			icI, icF := policy.NewInferCtx(), policy.NewInferCtx()
 			icI.SetIncremental(true)
 			for step := 0; step < 24; step++ {
@@ -251,9 +251,11 @@ func TestIncrRandomScenarioStreamParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				if step == 8 {
-					// Fork edge: a fresh incremental context priming on a
-					// mid-episode fork must agree with the plain context too.
-					fI, fF := envI.Fork(), envF.Fork()
+					// Fork edge: a fresh incremental context priming on an
+					// env over the mid-episode cluster must agree with the
+					// plain context too.
+					fI := sim.New(envI.Cluster(), sim.Config{MNL: envI.MNL(), Obj: envI.Objective()})
+					fF := sim.New(envF.Cluster(), sim.Config{MNL: envF.MNL(), Obj: envF.Objective()})
 					icFork := policy.NewInferCtx()
 					icFork.SetIncremental(true)
 					fvI, fpI, feI := m.Infer(icFork, fI,
@@ -264,8 +266,6 @@ func TestIncrRandomScenarioStreamParity(t *testing.T) {
 						t.Fatalf("fork: incremental (%d,%d,%v) != full (%d,%d,%v)",
 							fvI, fpI, feI, fvF, fpF, feF)
 					}
-					fI.Release()
-					fF.Release()
 				}
 			}
 			st := icI.IncrStats()

@@ -93,7 +93,7 @@ func measureQuantParity(sc scenario.Scenario) (quantParityResult, error) {
 	if err != nil {
 		return quantParityResult{}, err
 	}
-	obj, err := sc.ParseObjective()
+	obj, err := sim.ParseObjective(sc.Objective)
 	if err != nil {
 		return quantParityResult{}, err
 	}

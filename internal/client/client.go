@@ -1,9 +1,9 @@
 // Package client is the Go client for the rescheduling service's v2 HTTP
-// API (internal/service): synchronous solves, async job submission with
-// polling, and solver discovery. All calls take a context, and Submit and
-// Reschedule forward the context deadline to the server as the solve
-// budget (unless the request sets TimeoutMS itself) — so a caller that can
-// only afford 50 ms asks for, and gets, the best plan computable in 50 ms.
+// API (internal/service): async job submission with polling, and live
+// cluster sessions. All calls take a context, and Submit forwards the
+// context deadline to the server as the solve budget (unless the request
+// sets TimeoutMS itself) — so a caller that can only afford 50 ms asks for,
+// and gets, the best plan computable in 50 ms.
 package client
 
 import (
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -27,7 +26,8 @@ type Client struct {
 	baseURL string
 	http    *http.Client
 	poll    time.Duration
-	// 503 backpressure retry policy (see WithRetry).
+	// 503 backpressure retry policy (see do): up to retries extra attempts
+	// with exponential backoff from retryBase, capped at retryCap.
 	retries   int
 	retryBase time.Duration
 	retryCap  time.Duration
@@ -46,16 +46,6 @@ func WithHTTPClient(h *http.Client) Option {
 // 50 ms).
 func WithPollInterval(d time.Duration) Option {
 	return func(c *Client) { c.poll = d }
-}
-
-// WithRetry tunes the 503-backpressure retry policy: up to retries extra
-// attempts with exponential backoff starting at base and capped at max.
-// A 503 means the server shed the request before doing any work (full job
-// queue, session limit), so retrying is always safe. When the 503 carries a
-// Retry-After hint, that delay is used instead of the computed backoff.
-// retries = 0 disables. The default is 3 retries, 50 ms base, 1 s cap.
-func WithRetry(retries int, base, max time.Duration) Option {
-	return func(c *Client) { c.retries, c.retryBase, c.retryCap = retries, base, max }
 }
 
 // New builds a client for the server at baseURL (e.g. "http://localhost:8080").
@@ -200,17 +190,6 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	return nil
 }
 
-// Solvers lists the registered engines with their metadata.
-func (c *Client) Solvers(ctx context.Context) ([]service.SolverInfo, error) {
-	var out struct {
-		Solvers []service.SolverInfo `json:"solvers"`
-	}
-	if err := c.do(ctx, http.MethodGet, "/v2/solvers", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Solvers, nil
-}
-
 // withCtxBudget copies the context deadline into TimeoutMS when the caller
 // didn't set one, leaving headroom for the HTTP round-trip and (for async
 // jobs) the status polls that follow the solve.
@@ -224,16 +203,6 @@ func withCtxBudget(ctx context.Context, req service.PlanRequest) service.PlanReq
 		}
 	}
 	return req
-}
-
-// Reschedule runs one synchronous solve via POST /v2/reschedule. A context
-// deadline becomes the server-side solve budget when TimeoutMS is unset.
-func (c *Client) Reschedule(ctx context.Context, req service.PlanRequest) (*service.PlanResponse, error) {
-	var out service.PlanResponse
-	if err := c.do(ctx, http.MethodPost, "/v2/reschedule", withCtxBudget(ctx, req), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // Submit enqueues an async solve via POST /v2/jobs and returns the job id.
@@ -255,22 +224,6 @@ func (c *Client) Job(ctx context.Context, id string) (*service.JobStatus, error)
 		return nil, err
 	}
 	return &out, nil
-}
-
-// Jobs lists the server's retained jobs in submission order. A non-empty
-// state ("queued", "running", "succeeded", "failed") filters server-side.
-func (c *Client) Jobs(ctx context.Context, state service.JobState) ([]service.JobStatus, error) {
-	path := "/v2/jobs"
-	if state != "" {
-		path += "?status=" + url.QueryEscape(string(state))
-	}
-	var out struct {
-		Jobs []service.JobStatus `json:"jobs"`
-	}
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Jobs, nil
 }
 
 // Wait polls a job until it reaches a terminal state or ctx expires. A
@@ -296,18 +249,4 @@ func (c *Client) Wait(ctx context.Context, id string) (*service.JobStatus, error
 		case <-t.C:
 		}
 	}
-}
-
-// Run is the convenience round-trip: submit, then wait. It is what most
-// callers want instead of managing job ids themselves.
-func (c *Client) Run(ctx context.Context, req service.PlanRequest) (*service.PlanResponse, error) {
-	id, err := c.Submit(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	st, err := c.Wait(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	return st.Result, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -34,10 +35,13 @@ func testSetup(t *testing.T) (*Client, []byte) {
 
 func TestClientSolvers(t *testing.T) {
 	cl, _ := testSetup(t)
-	infos, err := cl.Solvers(context.Background())
-	if err != nil {
+	var out struct {
+		Solvers []service.SolverInfo `json:"solvers"`
+	}
+	if err := cl.do(context.Background(), http.MethodGet, "/v2/solvers", nil, &out); err != nil {
 		t.Fatal(err)
 	}
+	infos := out.Solvers
 	if len(infos) != 2 {
 		t.Fatalf("solvers = %+v", infos)
 	}
@@ -48,8 +52,8 @@ func TestClientSolvers(t *testing.T) {
 
 func TestClientSyncReschedule(t *testing.T) {
 	cl, mapping := testSetup(t)
-	resp, err := cl.Reschedule(context.Background(), service.PlanRequest{MNL: 6, Mapping: mapping})
-	if err != nil {
+	var resp service.PlanResponse
+	if err := cl.do(context.Background(), http.MethodPost, "/v2/reschedule", service.PlanRequest{MNL: 6, Mapping: mapping}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Solver != "HA" || resp.FinalFR > resp.InitialFR {
@@ -71,14 +75,6 @@ func TestClientSubmitWaitRun(t *testing.T) {
 	if st.State != service.JobSucceeded || st.Result == nil {
 		t.Fatalf("status = %+v", st)
 	}
-	// Run is submit+wait in one call and must agree with the manual path.
-	resp, err := cl.Run(ctx, service.PlanRequest{MNL: 4, Mapping: mapping})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.FinalFR != st.Result.FinalFR {
-		t.Errorf("Run FR %v != Submit/Wait FR %v", resp.FinalFR, st.Result.FinalFR)
-	}
 }
 
 func TestClientDeadlineBecomesServerBudget(t *testing.T) {
@@ -93,18 +89,23 @@ func TestClientDeadlineBecomesServerBudget(t *testing.T) {
 	if err := trace.WriteMapping(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	cl := New(srv.URL)
+	cl := New(srv.URL, WithPollInterval(2*time.Millisecond))
 	// Generous enough to absorb loaded-machine jitter, still far below the
 	// 5 s default budget the solve would otherwise run to.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	start := time.Now()
-	resp, err := cl.Reschedule(ctx, service.PlanRequest{MNL: 40, Mapping: buf.Bytes()})
+	id, err := cl.Submit(ctx, service.PlanRequest{MNL: 40, Mapping: buf.Bytes()})
 	if err != nil {
-		t.Fatalf("reschedule with 2s ctx: %v (after %v)", err, time.Since(start))
+		t.Fatalf("submit with 2s ctx: %v (after %v)", err, time.Since(start))
 	}
+	st, err := cl.Wait(ctx, id)
+	if err != nil {
+		t.Fatalf("wait with 2s ctx: %v (after %v)", err, time.Since(start))
+	}
+	resp := st.Result
 	// Without ctx-to-budget propagation the solve would run the full 5s
-	// default and the ctx would kill the HTTP request instead.
+	// default and the ctx would end the wait instead.
 	if wall := time.Since(start); wall > 3*time.Second {
 		t.Errorf("round-trip took %v, ctx budget was 2s", wall)
 	}
@@ -117,7 +118,7 @@ func TestClientErrors(t *testing.T) {
 	cl, mapping := testSetup(t)
 	ctx := context.Background()
 	// Bad request surfaces as a StatusError with the server's message.
-	_, err := cl.Reschedule(ctx, service.PlanRequest{MNL: 0, Mapping: mapping})
+	_, err := cl.Submit(ctx, service.PlanRequest{MNL: 0, Mapping: mapping})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != 400 || se.Message == "" {
 		t.Fatalf("err = %v", err)

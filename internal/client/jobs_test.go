@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -53,21 +54,25 @@ func TestClientJobsList(t *testing.T) {
 	if _, err := cl.Wait(ctx, id2); err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := cl.Jobs(ctx, "")
-	if err != nil {
+	type jobList struct {
+		Jobs []service.JobStatus `json:"jobs"`
+	}
+	var all jobList
+	if err := cl.do(ctx, http.MethodGet, "/v2/jobs", nil, &all); err != nil {
 		t.Fatal(err)
 	}
+	jobs := all.Jobs
 	if len(jobs) != 2 || jobs[0].ID != id1 || jobs[1].ID != id2 {
 		t.Fatalf("jobs = %+v, want [%s %s]", jobs, id1, id2)
 	}
-	done, err := cl.Jobs(ctx, service.JobSucceeded)
-	if err != nil {
+	var done jobList
+	if err := cl.do(ctx, http.MethodGet, "/v2/jobs?status="+string(service.JobSucceeded), nil, &done); err != nil {
 		t.Fatal(err)
 	}
-	if len(done) != 2 {
-		t.Fatalf("succeeded filter matched %d jobs, want 2", len(done))
+	if len(done.Jobs) != 2 {
+		t.Fatalf("succeeded filter matched %d jobs, want 2", len(done.Jobs))
 	}
-	if _, err := cl.Jobs(ctx, "bogus"); err == nil {
+	if err := cl.do(ctx, http.MethodGet, "/v2/jobs?status=bogus", nil, &done); err == nil {
 		t.Fatal("bogus status filter must error")
 	}
 }
@@ -77,12 +82,17 @@ func TestClientScaleOutJob(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	resp, err := cl.Run(ctx, service.PlanRequest{
+	id, err := cl.Submit(ctx, service.PlanRequest{
 		MNL: 12, Mapping: mapping, Shards: 4, Portfolio: []string{"ha", "vbpp"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st, err := cl.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := st.Result
 	if resp.Sharding == nil {
 		t.Fatal("scale-out job returned no sharding report through the client")
 	}

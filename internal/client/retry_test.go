@@ -13,6 +13,13 @@ import (
 	"vmr2l/internal/service"
 )
 
+// withRetry sets the 503-backpressure retry policy: up to retries extra
+// attempts with exponential backoff starting at base and capped at max;
+// retries = 0 disables.
+func withRetry(retries int, base, max time.Duration) Option {
+	return func(c *Client) { c.retries, c.retryBase, c.retryCap = retries, base, max }
+}
+
 // flakyServer returns 503 for the first fails requests, then delegates to
 // ok. It counts total attempts.
 func flakyServer(t *testing.T, fails int, ok http.HandlerFunc) (*httptest.Server, *atomic.Int64) {
@@ -36,7 +43,7 @@ func TestClientRetriesBackpressure(t *testing.T) {
 		w.WriteHeader(http.StatusAccepted)
 		_ = json.NewEncoder(w).Encode(service.JobStatus{ID: "job-1", State: service.JobQueued})
 	})
-	cl := New(srv.URL, WithRetry(3, time.Millisecond, 8*time.Millisecond))
+	cl := New(srv.URL, withRetry(3, time.Millisecond, 8*time.Millisecond))
 	id, err := cl.Submit(context.Background(), service.PlanRequest{MNL: 1})
 	if err != nil {
 		t.Fatalf("submit should survive two 503s: %v", err)
@@ -51,7 +58,7 @@ func TestClientRetriesBackpressure(t *testing.T) {
 
 func TestClientRetryGivesUpAfterCap(t *testing.T) {
 	srv, attempts := flakyServer(t, 1000, nil)
-	cl := New(srv.URL, WithRetry(2, time.Millisecond, 4*time.Millisecond))
+	cl := New(srv.URL, withRetry(2, time.Millisecond, 4*time.Millisecond))
 	_, err := cl.Submit(context.Background(), service.PlanRequest{MNL: 1})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
@@ -64,7 +71,7 @@ func TestClientRetryGivesUpAfterCap(t *testing.T) {
 
 func TestClientRetryDisabled(t *testing.T) {
 	srv, attempts := flakyServer(t, 1000, nil)
-	cl := New(srv.URL, WithRetry(0, time.Millisecond, time.Millisecond))
+	cl := New(srv.URL, withRetry(0, time.Millisecond, time.Millisecond))
 	if _, err := cl.Submit(context.Background(), service.PlanRequest{MNL: 1}); err == nil {
 		t.Fatal("want error")
 	}
@@ -78,7 +85,7 @@ func TestClientRetryDoesNotTouchOtherErrors(t *testing.T) {
 		w.WriteHeader(http.StatusBadRequest)
 		_ = json.NewEncoder(w).Encode(map[string]string{"error": "mnl must be positive"})
 	})
-	cl := New(srv.URL, WithRetry(5, time.Millisecond, time.Millisecond))
+	cl := New(srv.URL, withRetry(5, time.Millisecond, time.Millisecond))
 	_, err := cl.Submit(context.Background(), service.PlanRequest{})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
@@ -91,7 +98,7 @@ func TestClientRetryDoesNotTouchOtherErrors(t *testing.T) {
 
 func TestClientRetryHonorsContext(t *testing.T) {
 	srv, _ := flakyServer(t, 1000, nil)
-	cl := New(srv.URL, WithRetry(50, 50*time.Millisecond, time.Second))
+	cl := New(srv.URL, withRetry(50, 50*time.Millisecond, time.Second))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -149,7 +156,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(service.JobStatus{ID: "job-1", State: service.JobQueued})
 	}))
 	t.Cleanup(srv.Close)
-	cl := New(srv.URL, WithRetry(2, time.Millisecond, 2*time.Millisecond))
+	cl := New(srv.URL, withRetry(2, time.Millisecond, 2*time.Millisecond))
 	start := time.Now()
 	id, err := cl.Submit(context.Background(), service.PlanRequest{MNL: 1})
 	if err != nil || id != "job-1" {
@@ -160,7 +167,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}
 	// The error surfaced to callers carries the hint too.
 	srv2, _ := flakyServerRetryAfter(t, "2")
-	cl2 := New(srv2.URL, WithRetry(0, time.Millisecond, time.Millisecond))
+	cl2 := New(srv2.URL, withRetry(0, time.Millisecond, time.Millisecond))
 	_, err = cl2.Submit(context.Background(), service.PlanRequest{MNL: 1})
 	var se *StatusError
 	if !errors.As(err, &se) || se.RetryAfter != 2*time.Second {
@@ -202,7 +209,7 @@ func TestClientRetryAfterFloorsAtBackoff(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(service.JobStatus{ID: "job-1", State: service.JobQueued})
 	}))
 	t.Cleanup(srv.Close)
-	cl := New(srv.URL, WithRetry(2, 200*time.Millisecond, time.Second))
+	cl := New(srv.URL, withRetry(2, 200*time.Millisecond, time.Second))
 	start := time.Now()
 	if _, err := cl.Submit(context.Background(), service.PlanRequest{MNL: 1}); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -224,7 +231,7 @@ func TestClientRetryAfterFloorsAtBackoff(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(service.JobStatus{ID: "job-2", State: service.JobQueued})
 	}))
 	t.Cleanup(srv2.Close)
-	cl2 := New(srv2.URL, WithRetry(2, 1500*time.Millisecond, 2*time.Second))
+	cl2 := New(srv2.URL, withRetry(2, 1500*time.Millisecond, 2*time.Second))
 	start = time.Now()
 	if _, err := cl2.Submit(context.Background(), service.PlanRequest{MNL: 1}); err != nil {
 		t.Fatalf("submit: %v", err)

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 
 	"vmr2l/internal/service"
@@ -31,36 +30,11 @@ func (c *Client) CreateSession(ctx context.Context, req service.SessionRequest) 
 	return &Session{c: c, id: st.ID}, &st, nil
 }
 
-// Scenarios lists the server's scenario registry.
-func (c *Client) Scenarios(ctx context.Context) ([]service.ScenarioInfo, error) {
-	var out struct {
-		Scenarios []service.ScenarioInfo `json:"scenarios"`
-	}
-	if err := c.do(ctx, http.MethodGet, "/v2/scenarios", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Scenarios, nil
-}
-
-// Status fetches the session's live state.
-func (s *Session) Status(ctx context.Context) (*service.SessionStatus, error) {
-	var st service.SessionStatus
-	if err := s.c.do(ctx, http.MethodGet, "/v2/clusters/"+s.id, nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // Advance moves the session's dynamics clock forward, generating the
 // scenario's churn, and returns the resulting status (with the applied
 // event delta).
 func (s *Session) Advance(ctx context.Context, minutes int) (*service.SessionStatus, error) {
 	return s.Apply(ctx, service.EventsRequest{AdvanceMinutes: minutes})
-}
-
-// Events applies explicit arrival/exit events to the session.
-func (s *Session) Events(ctx context.Context, events ...service.SessionEvent) (*service.SessionStatus, error) {
-	return s.Apply(ctx, service.EventsRequest{Events: events})
 }
 
 // Apply sends a combined events request (advance, then explicit events).
@@ -81,24 +55,6 @@ func (s *Session) Submit(ctx context.Context, req service.PlanRequest) (string, 
 		return "", err
 	}
 	return out.ID, nil
-}
-
-// Reschedule is the session round-trip: submit a session-scoped job and
-// wait for its repaired plan. The response carries the repair report
-// (valid/repaired/dropped, live fragment delta).
-func (s *Session) Reschedule(ctx context.Context, req service.PlanRequest) (*service.PlanResponse, error) {
-	id, err := s.Submit(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	st, err := s.c.Wait(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	if st.Result != nil && st.Result.Repair == nil {
-		return st.Result, fmt.Errorf("client: session job %s returned no repair report", id)
-	}
-	return st.Result, nil
 }
 
 // Close deletes the session server-side. Jobs already in flight finish

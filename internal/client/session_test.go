@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"net/http"
 	"testing"
 
 	"vmr2l/internal/service"
@@ -20,8 +21,8 @@ func TestClientSessionLifecycle(t *testing.T) {
 		t.Fatalf("created %q status %+v", sess.ID(), st)
 	}
 
-	got, err := sess.Status(ctx)
-	if err != nil {
+	var got service.SessionStatus
+	if err := cl.do(ctx, http.MethodGet, "/v2/clusters/"+sess.ID(), nil, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.ID != sess.ID() || got.Minute != 0 {
@@ -29,10 +30,10 @@ func TestClientSessionLifecycle(t *testing.T) {
 	}
 
 	vm := 0
-	after, err := sess.Events(ctx,
-		service.SessionEvent{Arrive: true, Type: "xlarge"},
-		service.SessionEvent{Arrive: false, VM: &vm},
-	)
+	after, err := sess.Apply(ctx, service.EventsRequest{Events: []service.SessionEvent{
+		{Arrive: true, Type: "xlarge"},
+		{Arrive: false, VM: &vm},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestClientSessionLifecycle(t *testing.T) {
 	if err := sess.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Status(ctx); err == nil {
+	if err := cl.do(ctx, http.MethodGet, "/v2/clusters/"+sess.ID(), nil, &got); err == nil {
 		t.Fatal("closed session still reachable")
 	} else {
 		var se *StatusError
@@ -57,12 +58,14 @@ func TestClientSessionFromScenarioAndReschedule(t *testing.T) {
 	cl, _ := testSetup(t)
 	ctx := context.Background()
 
-	scs, err := cl.Scenarios(ctx)
-	if err != nil {
+	var scs struct {
+		Scenarios []service.ScenarioInfo `json:"scenarios"`
+	}
+	if err := cl.do(ctx, http.MethodGet, "/v2/scenarios", nil, &scs); err != nil {
 		t.Fatal(err)
 	}
-	if len(scs) < 5 {
-		t.Fatalf("scenarios = %+v", scs)
+	if len(scs.Scenarios) < 5 {
+		t.Fatalf("scenarios = %+v", scs.Scenarios)
 	}
 
 	sess, _, err := cl.CreateSession(ctx, service.SessionRequest{Scenario: "diurnal", Seed: 4})
@@ -79,10 +82,15 @@ func TestClientSessionFromScenarioAndReschedule(t *testing.T) {
 	if st.Minute != 30 {
 		t.Fatalf("minute = %d, want 30", st.Minute)
 	}
-	resp, err := sess.Reschedule(ctx, service.PlanRequest{MNL: 8})
+	id, err := sess.Submit(ctx, service.PlanRequest{MNL: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	job, err := cl.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := job.Result
 	if resp.Repair == nil {
 		t.Fatal("session reschedule returned no repair report")
 	}

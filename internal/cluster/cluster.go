@@ -221,16 +221,6 @@ func (c *Cluster) addUsage(p *PM, j, dCPU, dMem int) {
 	n.MemUsed += dMem
 }
 
-// FitsNuma reports whether vm fits on NUMA j of PM p by capacity alone.
-func (c *Cluster) FitsNuma(vmID, pmID, numa int) bool {
-	v := &c.VMs[vmID]
-	if v.Numas != 1 {
-		return false
-	}
-	n := &c.PMs[pmID].Numas[numa]
-	return n.FreeCPU() >= v.CPUPerNuma() && n.FreeMem() >= v.MemPerNuma()
-}
-
 // fitsCapacity reports whether vm fits anywhere on PM p by capacity.
 func (c *Cluster) fitsCapacity(v *VM, p *PM) bool {
 	if v.Numas == 2 {

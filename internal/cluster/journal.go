@@ -20,8 +20,8 @@ package cluster
 // mutations since the snapshot iff LastClear() still equals the token (a
 // second consumer clearing in between invalidates the first's view — each
 // cluster supports one journal consumer, which matches the one-goroutine
-// confinement Cluster already requires). Generation() == token additionally
-// means nothing at all changed.
+// confinement Cluster already requires). A generation still equal to the
+// token additionally means nothing at all changed.
 //
 // The zero journal reports DirtyFull: a cluster that was never cleared,
 // built by struct literal (the trace loader), cloned, copied into, or
@@ -86,7 +86,7 @@ func (j *journal) markFull() {
 }
 
 // ClearDirty resets the journal and returns the generation token of the
-// clear. Until the next mutation, Generation() equals the token; the dirty
+// clear. Until the next mutation, the generation equals the token; the dirty
 // sets accumulated afterwards describe exactly the mutations since this call
 // as long as LastClear() still returns the same token.
 func (c *Cluster) ClearDirty() uint64 {
@@ -111,12 +111,6 @@ func resizeEpochs(s []uint64, n int) []uint64 {
 	}
 	return s[:n]
 }
-
-// Generation returns the cluster's mutation counter. It bumps on every
-// journaled mutation (including rolled-back ones) and on every ClearDirty,
-// so equal generations imply an identical observable cluster state for any
-// single-consumer window.
-func (c *Cluster) Generation() uint64 { return c.j.gen }
 
 // LastClear returns the token of the most recent ClearDirty, 0 if the
 // journal was never cleared. A consumer whose snapshot token no longer

@@ -67,8 +67,8 @@ func TestJournalPropertySupersetOfDiff(t *testing.T) {
 		if c.DirtyFull() {
 			t.Fatal("DirtyFull immediately after ClearDirty")
 		}
-		if c.Generation() != tok {
-			t.Fatalf("Generation %d != clear token %d with no mutations", c.Generation(), tok)
+		if c.j.gen != tok {
+			t.Fatalf("Generation %d != clear token %d with no mutations", c.j.gen, tok)
 		}
 		snap := snapshotCluster(c)
 		nOps := rng.Intn(12)
@@ -124,7 +124,7 @@ func TestJournalPropertySupersetOfDiff(t *testing.T) {
 				t.Fatalf("VM %d changed but not journaled (dirty=%v)", id, c.DirtyVMs())
 			}
 		}
-		if nOps > 0 && len(changedPM)+len(changedVM) > 0 && c.Generation() == tok {
+		if nOps > 0 && len(changedPM)+len(changedVM) > 0 && c.j.gen == tok {
 			t.Fatal("state changed but generation did not advance")
 		}
 	}
@@ -143,11 +143,11 @@ func TestJournalGenerationAndInvalidation(t *testing.T) {
 	}
 
 	tok := c.ClearDirty()
-	g := c.Generation()
+	g := c.j.gen
 	if err := c.SetHealth(0, Draining); err != nil {
 		t.Fatal(err)
 	}
-	if c.Generation() == g {
+	if c.j.gen == g {
 		t.Fatal("SetHealth did not bump generation")
 	}
 

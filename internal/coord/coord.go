@@ -192,17 +192,6 @@ func (co *Coordinator) loop(every time.Duration, fn func()) {
 	}
 }
 
-// alive reports whether a replica currently takes traffic (Up or Suspect —
-// a Suspect replica still holds its sessions; only Down triggers re-homing).
-func (co *Coordinator) alive(name string) bool {
-	rep, ok := co.replicas[name]
-	if !ok {
-		return false
-	}
-	st, _, _ := rep.snapshot()
-	return st != ReplicaDown
-}
-
 // up reports whether a replica is fully healthy (new sessions only land on
 // Up replicas).
 func (co *Coordinator) up(name string) bool {

@@ -316,9 +316,19 @@ func TestCoordinatorThroughClient(t *testing.T) {
 	if !strings.HasPrefix(st.ID, "fleet-") {
 		t.Fatalf("coordinator did not name the session: %q", st.ID)
 	}
-	// Status goes through a 307 redirect to the replica; the client's
-	// http.Client follows it natively.
-	got, err := sess.Status(ctx)
+	// Status goes through a 307 redirect to the replica; http.Client
+	// follows it natively.
+	resp, err := http.Get(srv.URL + "/v2/clusters/" + sess.ID())
+	if err != nil {
+		t.Fatalf("status via redirect: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("status via redirect: %s", resp.Status)
+	}
+	var got service.SessionStatus
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatalf("status via redirect: %v", err)
 	}

@@ -42,8 +42,8 @@ func Run(m *policy.Model, init *cluster.Cluster, cfg sim.Config, opts Options) O
 
 // RunContext is Run under a context: rollouts still in flight when ctx
 // expires stop early, and the best among what completed (even partially)
-// wins. This is the deadline-aware entry the service's risk-seeking mode
-// would use.
+// wins. It is the offline risk-seeking path (the evaluation tools and the
+// paper experiments); the service does not serve K-trajectory sampling yet.
 //
 // All K trajectories roll in lock-step on one goroutine
 // (policy.Model.Rollout): each wave stacks the K environments' rows into one
@@ -102,22 +102,4 @@ func GridSearchThresholds(m *policy.Model, val []*cluster.Cluster, cfg sim.Confi
 		}
 	}
 	return vmQ, pmQ
-}
-
-// RandomPolicyValue rolls a uniform-random legal policy once — the sanity
-// baseline used in tests and the case-study tool.
-func RandomPolicyValue(init *cluster.Cluster, cfg sim.Config, seed int64) float64 {
-	env := sim.New(init, cfg)
-	rng := rand.New(rand.NewSource(seed))
-	for !env.Done() {
-		acts := sim.TopActions(env.Cluster(), env.Objective(), 0)
-		if len(acts) == 0 {
-			break
-		}
-		a := acts[rng.Intn(len(acts))]
-		if _, _, err := env.Step(a.VM, a.PM); err != nil {
-			break
-		}
-	}
-	return env.Value()
 }

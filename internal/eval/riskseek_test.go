@@ -131,11 +131,3 @@ func TestGridSearchReturnsGridValues(t *testing.T) {
 		t.Fatalf("grid search returned off-grid values %v %v", vq, pq)
 	}
 }
-
-func TestRandomPolicyValueBounded(t *testing.T) {
-	c := testMapping(6)
-	v := RandomPolicyValue(c, sim.DefaultConfig(4), 3)
-	if v < 0 || v > 1 {
-		t.Fatalf("random policy FR out of range: %v", v)
-	}
-}

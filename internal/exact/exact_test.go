@@ -107,7 +107,7 @@ func TestRunRespectsMNL(t *testing.T) {
 	if env.StepsTaken() > 3 {
 		t.Fatalf("steps %d > MNL 3", env.StepsTaken())
 	}
-	if env.FragRate() > env.Initial().FragRate(16) {
+	if env.FragRate() > c.FragRate(16) {
 		t.Error("B&B made fragment rate worse")
 	}
 }
@@ -194,7 +194,7 @@ func TestPOPStaysWithinPartitions(t *testing.T) {
 			t.Fatalf("migration crossed partitions: %+v", m)
 		}
 	}
-	if env.FragRate() > env.Initial().FragRate(16)+1e-9 {
+	if env.FragRate() > c.FragRate(16)+1e-9 {
 		t.Error("POP worsened FR")
 	}
 }

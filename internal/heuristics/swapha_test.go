@@ -53,8 +53,8 @@ func TestSwapHABreaksDeadlock(t *testing.T) {
 	if err := env.Cluster().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if env.FragRate() > env.Initial().FragRate(16)+1e-9 {
-		t.Errorf("SwapHA worsened FR: %v -> %v", env.Initial().FragRate(16), env.FragRate())
+	if env.FragRate() > c.FragRate(16)+1e-9 {
+		t.Errorf("SwapHA worsened FR: %v -> %v", c.FragRate(16), env.FragRate())
 	}
 }
 

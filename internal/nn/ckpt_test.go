@@ -96,7 +96,7 @@ func TestCKPTInt8RoundTrip(t *testing.T) {
 		t.Fatalf("quantized layers after load: %v, want %v", got, want)
 	}
 	for _, name := range want {
-		q1, q2 := p1.Linear(name).Q, p2.Linear(name).Q
+		q1, q2 := p1.linears[name].Q, p2.linears[name].Q
 		if !bytes.Equal(int8Bytes(q1.Q), int8Bytes(q2.Q)) {
 			t.Fatalf("%s: int8 values differ after round trip", name)
 		}
@@ -107,7 +107,7 @@ func TestCKPTInt8RoundTrip(t *testing.T) {
 		}
 		// The float weight restores to the dequantized values.
 		deq := q2.Dequantize()
-		w := p2.Linear(name).W
+		w := p2.linears[name].W
 		for i := range w.Data {
 			if w.Data[i] != deq.Data[i] {
 				t.Fatalf("%s: W not dequantized form after int8 load", name)
@@ -118,7 +118,7 @@ func TestCKPTInt8RoundTrip(t *testing.T) {
 	ar := &tensor.Arena{}
 	rng := rand.New(rand.NewSource(7))
 	x := tensor.Randn(rng, 5, 14, 1)
-	l1, l2 := p1.Linear("embed.in"), p2.Linear("embed.in")
+	l1, l2 := p1.linears["embed.in"], p2.linears["embed.in"]
 	o1 := l1.Infer(ar, x)
 	o2 := l2.Infer(ar, x)
 	for i := range o1.Data {

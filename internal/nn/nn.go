@@ -58,11 +58,6 @@ type Params struct {
 // forward pass saw identical weights.
 func (p *Params) Version() uint64 { return p.version }
 
-// BumpVersion records that parameter values changed outside the standard
-// mutation paths (e.g. a caller writing W.Data directly must invalidate
-// inference caches by hand).
-func (p *Params) BumpVersion() { p.version++ }
-
 // NewParams returns an empty registry.
 func NewParams() *Params {
 	return &Params{byName: map[string]*tensor.Tensor{}, frozen: map[string]bool{}, linears: map[string]*Linear{}}
@@ -77,18 +72,6 @@ func (p *Params) Freeze(prefix string) int {
 	for name := range p.byName {
 		if strings.HasPrefix(name, prefix) {
 			p.frozen[name] = true
-			n++
-		}
-	}
-	return n
-}
-
-// Unfreeze clears the frozen flag for parameters under prefix.
-func (p *Params) Unfreeze(prefix string) int {
-	n := 0
-	for name := range p.frozen {
-		if strings.HasPrefix(name, prefix) {
-			delete(p.frozen, name)
 			n++
 		}
 	}
@@ -120,16 +103,6 @@ func (p *Params) Names() []string {
 
 // Get returns the named parameter or nil.
 func (p *Params) Get(name string) *tensor.Tensor { return p.byName[name] }
-
-// All returns parameters ordered by name.
-func (p *Params) All() []*tensor.Tensor {
-	names := p.Names()
-	out := make([]*tensor.Tensor, len(names))
-	for i, n := range names {
-		out[i] = p.byName[n]
-	}
-	return out
-}
 
 // ZeroGrad clears every parameter gradient.
 func (p *Params) ZeroGrad() {
@@ -263,12 +236,6 @@ type Attention struct {
 	headDim    int
 }
 
-// NewAttention registers a single-head attention module of model width d
-// (the default configuration of the scaled-down experiments).
-func NewAttention(p *Params, name string, rng *rand.Rand, d int) *Attention {
-	return NewMultiHeadAttention(p, name, rng, d, 1)
-}
-
 // NewMultiHeadAttention registers an attention module with heads heads;
 // d must be divisible by heads.
 func NewMultiHeadAttention(p *Params, name string, rng *rand.Rand, d, heads int) *Attention {
@@ -288,9 +255,6 @@ func NewMultiHeadAttention(p *Params, name string, rng *rand.Rand, d, heads int)
 	}
 	return a
 }
-
-// Heads returns the number of attention heads.
-func (a *Attention) Heads() int { return len(a.Wq) }
 
 // ForwardTree is sparse tree-local self-attention: rows of x attend only
 // within their disjoint group (one group per PM tree). Mathematically this

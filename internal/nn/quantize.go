@@ -45,22 +45,6 @@ func (p *Params) QuantizeLinears(skip func(name string) bool) int {
 	return n
 }
 
-// DequantizeLinears drops every quantized form, returning layers to the
-// float path. Returns how many layers were affected.
-func (p *Params) DequantizeLinears() int {
-	n := 0
-	for _, l := range p.linears {
-		if l.Q != nil {
-			l.Q = nil
-			n++
-		}
-	}
-	if n > 0 {
-		p.version++
-	}
-	return n
-}
-
 // QuantizedLinears returns the sorted names of layers currently carrying a
 // quantized weight.
 func (p *Params) QuantizedLinears() []string {
@@ -69,20 +53,6 @@ func (p *Params) QuantizedLinears() []string {
 		if l.Q != nil {
 			names = append(names, name)
 		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Linear returns the registered Linear module under name (the prefix its
-// ".w"/".b" parameters share), or nil.
-func (p *Params) Linear(name string) *Linear { return p.linears[name] }
-
-// LinearNames returns the sorted names of all registered Linear modules.
-func (p *Params) LinearNames() []string {
-	names := make([]string, 0, len(p.linears))
-	for name := range p.linears {
-		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names

@@ -74,9 +74,6 @@ func (ic *InferCtx) SetIncremental(on bool) {
 	}
 }
 
-// Incremental reports whether the step cache is enabled.
-func (ic *InferCtx) Incremental() bool { return ic.incr }
-
 // IncrStats returns the step-cache outcome counters.
 func (ic *InferCtx) IncrStats() IncrStats { return ic.cache.stats }
 

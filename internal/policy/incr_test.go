@@ -125,10 +125,10 @@ func TestIncrInvalidation(t *testing.T) {
 	if st := icI.IncrStats(); st.Misses != 2 {
 		t.Fatalf("version bump must miss: %+v", st)
 	}
-	// Same ctx pointed at a forked env (batch-slot reuse): different cluster
-	// pointer, must miss even though the state is identical.
-	fork := env.Fork()
-	defer fork.Release()
+	// Same ctx pointed at a second env over a copy of the cluster (batch-slot
+	// reuse): different cluster pointer, must miss even though the state is
+	// identical.
+	fork := sim.New(env.Cluster(), sim.Config{MNL: env.MNL(), Obj: env.Objective()})
 	compareForwards(t, m, icI, icF, fork)
 	if st := icI.IncrStats(); st.Misses != 3 {
 		t.Fatalf("env switch must miss: %+v", st)

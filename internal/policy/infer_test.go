@@ -41,7 +41,9 @@ type segOut struct {
 
 // specSeg evaluates the autograd forward — the specification — on env.
 func specSeg(m *Model, env *sim.Env) segOut {
-	o := m.forward(nil, sim.Extract(env.Cluster()))
+	var f sim.Features
+	sim.ExtractInto(&f, env.Cluster())
+	o := m.forward(nil, &f)
 	return segOut{o.pmE, o.vmE, o.crossProbs, m.vmLogits(o, env.VMMask()),
 		m.pmLogits(o, 0, env.PMMask(0)), m.jointLogits(o, nil), m.value(o).Scalar()}
 }
@@ -58,6 +60,13 @@ func waveForward(m *Model, ic *InferCtx, envs []*sim.Env) *waveOut {
 	return m.forwardWave(ic)
 }
 
+// clone copies an arena tensor onto the heap, out of the arena's reach.
+func clone(t *tensor.Tensor) *tensor.Tensor {
+	c := tensor.New(t.Rows, t.Cols)
+	copy(c.Data, t.Data)
+	return c
+}
+
 // waveSegs reads every head of a wave output on ic (from either front end),
 // one segOut per environment.
 func waveSegs(m *Model, ic *InferCtx, out *waveOut, envs []*sim.Env) []segOut {
@@ -69,11 +78,11 @@ func waveSegs(m *Model, ic *InferCtx, out *waveOut, envs []*sim.Env) []segOut {
 	for b, env := range envs {
 		pmLo, pmHi, vmLo, vmHi := ic.pmOff[b], ic.pmOff[b+1], ic.vmOff[b], ic.vmOff[b+1]
 		s := segOut{
-			pmE:      ar.Rows(out.pmAll, pmLo, pmHi).Clone(),
-			vmE:      ar.Rows(out.vmAll, vmLo, vmHi).Clone(),
-			vmLogits: logitsRow(ar, vmCol, vmLo, vmHi, env.VMMask()).Clone(),
-			pmLogits: logitsRow(ar, pmCol, pmLo, pmHi, env.PMMask(0)).Clone(),
-			joint:    m.jointLogitsRow(ic, out, b, nil).Clone(),
+			pmE:      clone(ar.Rows(out.pmAll, pmLo, pmHi)),
+			vmE:      clone(ar.Rows(out.vmAll, vmLo, vmHi)),
+			vmLogits: clone(logitsRow(ar, vmCol, vmLo, vmHi, env.VMMask())),
+			pmLogits: clone(logitsRow(ar, pmCol, pmLo, pmHi, env.PMMask(0))),
+			joint:    clone(m.jointLogitsRow(ic, out, b, nil)),
 			value:    vals[b],
 		}
 		if out.crossVM != nil {

@@ -24,7 +24,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"vmr2l/internal/cluster"
 	"vmr2l/internal/nn"
 	"vmr2l/internal/sim"
 	"vmr2l/internal/tensor"
@@ -350,6 +349,3 @@ func (m *Model) value(out *forwardOut) *tensor.Tensor {
 // transpose flips a vector tensor between n×1 and 1×n, preserving gradients
 // — the logits heads use it in both directions.
 func transpose(t *tensor.Tensor) *tensor.Tensor { return tensor.Transpose(t) }
-
-// FragCores re-exported for callers assembling environments.
-const FragCores = cluster.DefaultFragCores

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,15 +32,9 @@ func TestQuantizeSkipsCriticAndTinyHeads(t *testing.T) {
 		t.Fatal("Quantized() false after Quantize")
 	}
 	for _, want := range []string{"pm_embed.in", "block0.pm_ff.in", "block1.tree.wo"} {
-		if m.Params.Linear(want) == nil || m.Params.Linear(want).Q == nil {
+		if !slices.Contains(names, want) {
 			t.Fatalf("expected %q to be quantized", want)
 		}
-	}
-	if m.Params.DequantizeLinears() != n {
-		t.Fatal("DequantizeLinears count mismatch")
-	}
-	if m.Quantized() {
-		t.Fatal("Quantized() true after DequantizeLinears")
 	}
 }
 

@@ -1,22 +1,17 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
-	"vmr2l/internal/cluster"
-	"vmr2l/internal/heuristics"
 	"vmr2l/internal/sched"
-	"vmr2l/internal/sim"
-	"vmr2l/internal/solver"
 )
 
 // RandomScenario random-walks the declarative spec space: churn shape and
 // rate, anti-affinity level, MNL, and failure dynamics (healthy fleets,
 // crash storms, rolling maintenance, or both) are all drawn from rng. Every
-// returned scenario passes Validate; the point is to feed
-// RunInvariantCheck shapes nobody hand-picked.
+// returned scenario passes Validate; the point is to feed the serving-loop
+// invariant checks shapes nobody hand-picked.
 func RandomScenario(rng *rand.Rand) Scenario {
 	shapes := []Shape{Static, Diurnal, Flat, Burst, Drain}
 	d := DynamicsSpec{Shape: shapes[rng.Intn(len(shapes))]}
@@ -66,59 +61,4 @@ func RandomScenario(rng *rand.Rand) Scenario {
 		Seed:          int64(rng.Uint32()),
 		Dynamics:      d,
 	}
-}
-
-// RunInvariantCheck runs the full serving loop of paper Fig. 5 against the
-// scenario — solve on a snapshot, churn (and fail) the live cluster, repair
-// the plan, apply it — for the given number of cycles of minutes each, and
-// returns the first violated serving invariant:
-//
-//   - the live cluster passes Validate (capacity, aggregates, anti-affinity)
-//     after every churn window and every applied plan;
-//   - failure accounting balances and no VM sits on a Down PM past its
-//     evacuation deadline (sched.Dynamics.CheckFailureInvariants);
-//   - the repaired plan always applies cleanly to the live cluster it was
-//     repaired against.
-func RunInvariantCheck(s Scenario, seed int64, cycles, minutes int) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	obj, err := s.ParseObjective()
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	c, err := s.Build(rng)
-	if err != nil {
-		return err
-	}
-	c.FragRate(cluster.DefaultFragCores) // warm aggregates so Validate cross-checks them
-	dyn := s.NewDynamics(c, rng)
-	for i := 0; i < cycles; i++ {
-		// Solve against a snapshot while the live cluster keeps moving.
-		env := sim.New(c.Clone(), sim.Config{MNL: s.MNL, Obj: obj})
-		if err := (heuristics.HA{}).Solve(context.Background(), env); err != nil {
-			return fmt.Errorf("scenario %q cycle %d: solve: %w", s.Name, i, err)
-		}
-		plan := env.Plan()
-
-		dyn.Advance(minutes)
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("scenario %q cycle %d: after churn: %w", s.Name, i, err)
-		}
-		if err := dyn.CheckFailureInvariants(); err != nil {
-			return fmt.Errorf("scenario %q cycle %d: %w", s.Name, i, err)
-		}
-
-		rp := solver.RepairPlanObjective(c, plan, obj)
-		applied, skipped := sim.ApplyPlan(c, rp.Plan)
-		if skipped != 0 || applied != len(rp.Plan) {
-			return fmt.Errorf("scenario %q cycle %d: repaired plan did not apply cleanly: %d/%d applied, %d skipped",
-				s.Name, i, applied, len(rp.Plan), skipped)
-		}
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("scenario %q cycle %d: after applying plan: %w", s.Name, i, err)
-		}
-	}
-	return nil
 }

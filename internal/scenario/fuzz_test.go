@@ -1,10 +1,16 @@
 package scenario
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"vmr2l/internal/cluster"
+	"vmr2l/internal/heuristics"
 	"vmr2l/internal/sched"
+	"vmr2l/internal/sim"
+	"vmr2l/internal/solver"
 )
 
 func TestFailureScenariosRegistered(t *testing.T) {
@@ -21,8 +27,8 @@ func TestFailureScenariosRegistered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := s.NewDynamics(c, rng)
-		if _, on := d.Failures(); !on {
+		d := s.Dynamics.NewDynamics(c, rng, s.Mix())
+		if st := d.ExportState(); st.Fail == nil || !st.Fail.On {
 			t.Fatalf("%s: NewDynamics did not enable failure dynamics", name)
 		}
 		d.Advance(60)
@@ -70,7 +76,7 @@ func TestFuzzedScenarioInvariants(t *testing.T) {
 		// tiny keeps the fuzz loop fast; the registry test covers the mid
 		// profile.
 		s.Profile = "tiny"
-		if err := RunInvariantCheck(s, int64(i), 3, 17); err != nil {
+		if err := runInvariantCheck(s, int64(i), 3, 17); err != nil {
 			t.Fatalf("fuzz %d: %v\nspec: %+v", i, err, s)
 		}
 	}
@@ -82,8 +88,63 @@ func TestRunInvariantCheckNamedScenarios(t *testing.T) {
 	}
 	for _, name := range []string{"pm-crash-storm", "rolling-maintenance"} {
 		s := MustGet(name)
-		if err := RunInvariantCheck(s, s.Seed, 2, 20); err != nil {
+		if err := runInvariantCheck(s, s.Seed, 2, 20); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
+}
+
+// runInvariantCheck runs the full serving loop of paper Fig. 5 against the
+// scenario — solve on a snapshot, churn (and fail) the live cluster, repair
+// the plan, apply it — for the given number of cycles of minutes each, and
+// returns the first violated serving invariant:
+//
+//   - the live cluster passes Validate (capacity, aggregates, anti-affinity)
+//     after every churn window and every applied plan;
+//   - failure accounting balances and no VM sits on a Down PM past its
+//     evacuation deadline (sched.Dynamics.CheckFailureInvariants);
+//   - the repaired plan always applies cleanly to the live cluster it was
+//     repaired against.
+func runInvariantCheck(s Scenario, seed int64, cycles, minutes int) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	obj, err := sim.ParseObjective(s.Objective)
+	if err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	c, err := s.Build(rng)
+	if err != nil {
+		return err
+	}
+	c.FragRate(cluster.DefaultFragCores) // warm aggregates so Validate cross-checks them
+	dyn := s.Dynamics.NewDynamics(c, rng, s.Mix())
+	for i := 0; i < cycles; i++ {
+		// Solve against a snapshot while the live cluster keeps moving.
+		env := sim.New(c.Clone(), sim.Config{MNL: s.MNL, Obj: obj})
+		if err := (heuristics.HA{}).Solve(context.Background(), env); err != nil {
+			return fmt.Errorf("scenario %q cycle %d: solve: %w", s.Name, i, err)
+		}
+		plan := env.Plan()
+
+		dyn.Advance(minutes)
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("scenario %q cycle %d: after churn: %w", s.Name, i, err)
+		}
+		if err := dyn.CheckFailureInvariants(); err != nil {
+			return fmt.Errorf("scenario %q cycle %d: %w", s.Name, i, err)
+		}
+
+		rp := solver.RepairPlanObjective(c, plan, obj)
+		applied, skipped := sim.ApplyPlan(c, rp.Plan)
+		if skipped != 0 || applied != len(rp.Plan) {
+			return fmt.Errorf("scenario %q cycle %d: repaired plan did not apply cleanly: %d/%d applied, %d skipped",
+				s.Name, i, applied, len(rp.Plan), skipped)
+		}
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("scenario %q cycle %d: after applying plan: %w", s.Name, i, err)
+		}
+	}
+	return nil
 }

@@ -192,21 +192,6 @@ func (d DynamicsSpec) NewDynamics(c *cluster.Cluster, rng *rand.Rand, mix []clus
 	return dyn
 }
 
-// Rate returns the sched rate curve declared by the dynamics spec (nil for
-// Static).
-func (s Scenario) Rate() sched.RateFunc { return s.Dynamics.RateFunc() }
-
-// NewDynamics builds the live-cluster churn engine over c as the scenario
-// declares it.
-func (s Scenario) NewDynamics(c *cluster.Cluster, rng *rand.Rand) *sched.Dynamics {
-	return s.Dynamics.NewDynamics(c, rng, s.Mix())
-}
-
-// ParseObjective returns the scenario's parsed objective.
-func (s Scenario) ParseObjective() (sim.Objective, error) {
-	return sim.ParseObjective(s.Objective)
-}
-
 // registry holds the built-in scenarios. Sizes use the "-small" profiles so
 // every scenario runs in CI time; the shapes — not the absolute scale — are
 // what the serving stack exercises. Churn scenarios sit on the mid-usage

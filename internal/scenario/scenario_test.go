@@ -32,7 +32,7 @@ func TestRegistryScenariosBuildValidClusters(t *testing.T) {
 		if s.AffinityLevel > 0 && !c.AntiAffinity {
 			t.Errorf("%s: affinity level %d but constraint off", name, s.AffinityLevel)
 		}
-		if _, err := s.ParseObjective(); err != nil {
+		if _, err := sim.ParseObjective(s.Objective); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		if len(s.Mix()) == 0 {
@@ -50,7 +50,7 @@ func TestScenarioDynamicsShapes(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		placedBefore := c.CountPlaced()
-		d := s.NewDynamics(c, rng)
+		d := s.Dynamics.NewDynamics(c, rng, s.Mix())
 		st := d.Advance(20)
 		if err := c.Validate(); err != nil {
 			t.Fatalf("%s after 20 min: %v", name, err)
@@ -77,7 +77,7 @@ func TestScenarioDynamicsShapes(t *testing.T) {
 
 func TestBurstScenarioPeaksInWindow(t *testing.T) {
 	s := MustGet("burst")
-	r := s.Rate()
+	r := s.Dynamics.RateFunc()
 	inside := r(s.Dynamics.BurstStart)
 	outside := r(s.Dynamics.BurstStart + s.Dynamics.BurstLen)
 	if inside <= outside {
@@ -167,7 +167,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 
 func TestMemoryIntensiveUsesMixedObjective(t *testing.T) {
 	s := MustGet("memory-intensive")
-	obj, err := s.ParseObjective()
+	obj, err := sim.ParseObjective(s.Objective)
 	if err != nil {
 		t.Fatal(err)
 	}

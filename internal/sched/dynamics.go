@@ -151,9 +151,6 @@ func (d *Dynamics) SetArriveFrac(f float64) {
 // conflict instead of an exit.
 func (d *Dynamics) SetReuseSlots(on bool) { d.reuseSlots = on }
 
-// Cluster returns the live cluster the engine mutates.
-func (d *Dynamics) Cluster() *cluster.Cluster { return d.c }
-
 // Minute returns the current simulated clock in minutes.
 func (d *Dynamics) Minute() int { return d.minute }
 

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"vmr2l/internal/cluster"
 )
@@ -33,7 +32,7 @@ const (
 
 // FailureSpec declares the failure dynamics of a live fleet. The zero value
 // disables all automatic failures (explicit Crash/Drain/Recover calls still
-// work, e.g. from a ChaosInjector).
+// work, e.g. from a session's health events).
 type FailureSpec struct {
 	// CrashRate is the expected PM crashes per minute (Poisson).
 	CrashRate float64
@@ -119,24 +118,6 @@ func (d *Dynamics) SetFailures(spec FailureSpec) {
 	if spec.MaintenanceEvery > 0 {
 		f.nextMaint = d.minute + spec.MaintenanceEvery
 	}
-}
-
-// Failures returns the active failure spec and whether automatic failure
-// dynamics are on.
-func (d *Dynamics) Failures() (FailureSpec, bool) {
-	if d.fail == nil {
-		return FailureSpec{}, false
-	}
-	return d.fail.spec, d.fail.on
-}
-
-// EvacMarked returns the cumulative count of evacuations ever enqueued —
-// the left side of the zero-silent-loss identity.
-func (d *Dynamics) EvacMarked() int {
-	if d.fail == nil {
-		return 0
-	}
-	return d.fail.marked
 }
 
 // PendingEvacuations appends the pending evacuation queue to dst (mark
@@ -451,122 +432,4 @@ func (d *Dynamics) CheckFailureInvariants() error {
 		}
 	}
 	return nil
-}
-
-// ChaosSpec drives adversarial failure injection on top of a Dynamics
-// engine: per-step probabilities of crashing, draining, or recovering a
-// random PM, independent of (and composable with) the engine's own Poisson
-// failure dynamics.
-type ChaosSpec struct {
-	// CrashProb / DrainProb are per-Step probabilities of crashing or
-	// draining one uniformly random Up PM.
-	CrashProb, DrainProb float64
-	// RecoverProb is the per-Step probability of recovering one uniformly
-	// random non-Up PM.
-	RecoverProb float64
-	// MaxDownFrac caps the fraction of PMs the injector itself takes
-	// non-Up; 0 means 0.5.
-	MaxDownFrac float64
-}
-
-// ChaosInjector random-walks PM failures over a Dynamics engine: every Step
-// rolls the chaos dice, injects the chosen transitions through the same
-// Crash/Drain/Recover paths the automatic dynamics use, then advances the
-// clock — so the evacuation deadlines and accounting guarantees hold under
-// chaos exactly as under declared failure specs. It owns its rng; the
-// engine's stream is untouched by injection decisions.
-type ChaosInjector struct {
-	d    *Dynamics
-	rng  *rand.Rand
-	spec ChaosSpec
-	// Injected counts transitions the injector performed, by kind.
-	Injected struct{ Crashes, Drains, Recoveries int }
-}
-
-// NewChaosInjector builds an injector over d with its own rng.
-func NewChaosInjector(d *Dynamics, rng *rand.Rand, spec ChaosSpec) *ChaosInjector {
-	if spec.MaxDownFrac <= 0 {
-		spec.MaxDownFrac = 0.5
-	}
-	return &ChaosInjector{d: d, rng: rng, spec: spec}
-}
-
-// Dynamics returns the wrapped engine.
-func (ci *ChaosInjector) Dynamics() *Dynamics { return ci.d }
-
-// Step injects at most one crash, one drain, and one recovery, then
-// advances the engine by the given minutes, returning the delta stats.
-func (ci *ChaosInjector) Step(minutes int) Stats {
-	c := ci.d.Cluster()
-	counts := c.HealthCounts()
-	down := counts[cluster.Draining] + counts[cluster.Down]
-	capOK := float64(down+1) <= ci.spec.MaxDownFrac*float64(len(c.PMs))
-	if capOK && ci.rng.Float64() < ci.spec.CrashProb {
-		if pm := ci.pickByHealth(cluster.Up); pm >= 0 && ci.d.Crash(pm) {
-			ci.Injected.Crashes++
-			down++
-		}
-	}
-	capOK = float64(down+1) <= ci.spec.MaxDownFrac*float64(len(c.PMs))
-	if capOK && ci.rng.Float64() < ci.spec.DrainProb {
-		if pm := ci.pickByHealth(cluster.Up); pm >= 0 && ci.d.Drain(pm) {
-			ci.Injected.Drains++
-		}
-	}
-	if ci.rng.Float64() < ci.spec.RecoverProb {
-		if pm := ci.pickNonUp(); pm >= 0 && ci.d.Recover(pm) {
-			ci.Injected.Recoveries++
-		}
-	}
-	return ci.d.Advance(minutes)
-}
-
-// pickByHealth returns a uniformly random PM in state h, or -1.
-func (ci *ChaosInjector) pickByHealth(h cluster.Health) int {
-	c := ci.d.Cluster()
-	n := 0
-	for i := range c.PMs {
-		if c.PMs[i].Health == h {
-			n++
-		}
-	}
-	if n == 0 {
-		return -1
-	}
-	k := ci.rng.Intn(n)
-	for i := range c.PMs {
-		if c.PMs[i].Health != h {
-			continue
-		}
-		if k == 0 {
-			return i
-		}
-		k--
-	}
-	return -1
-}
-
-// pickNonUp returns a uniformly random Draining or Down PM, or -1.
-func (ci *ChaosInjector) pickNonUp() int {
-	c := ci.d.Cluster()
-	n := 0
-	for i := range c.PMs {
-		if c.PMs[i].Health != cluster.Up {
-			n++
-		}
-	}
-	if n == 0 {
-		return -1
-	}
-	k := ci.rng.Intn(n)
-	for i := range c.PMs {
-		if c.PMs[i].Health == cluster.Up {
-			continue
-		}
-		if k == 0 {
-			return i
-		}
-		k--
-	}
-	return -1
 }

@@ -14,8 +14,8 @@
 // Layered over the churn, Dynamics models PM failure (failures.go): Poisson
 // crashes (Up -> Down), rolling maintenance drains (Up -> Draining), and
 // recovery, driven by a FailureSpec or injected manually with
-// Crash/Drain/Recover (and at scenario level by a ChaosInjector). Every VM
-// on a failed PM becomes evacuation-pending under a deadline; each minute
+// Crash/Drain/Recover (as a session's health events do). Every VM on a
+// failed PM becomes evacuation-pending under a deadline; each minute
 // the engine migrates pending VMs to the best-fit Up PM at a bounded rate,
 // and a VM still on a Down PM at its deadline is removed and counted as
 // lost — never silently dropped.

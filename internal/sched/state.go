@@ -3,8 +3,6 @@ package sched
 import (
 	"fmt"
 	"math/rand"
-
-	"vmr2l/internal/cluster"
 )
 
 // Session durability (the multi-node serving tier) needs the dynamics engine
@@ -26,20 +24,19 @@ import (
 
 // CountedSource is a seeded rand.Source64 that counts every draw, making its
 // position serializable. The underlying stdlib source advances exactly one
-// internal step per Int63 or Uint64 call, so (Seed64, Draws) fully determines
+// internal step per Int63 or Uint64 call, so (seed, Draws) fully determines
 // the stream position; Skip replays a fresh source to any recorded position.
 //
 // rand.New(NewCountedSource(seed)) produces the identical stream to
 // rand.New(rand.NewSource(seed)) — wrapping is observationally free.
 type CountedSource struct {
 	src   rand.Source64
-	seed  int64
 	draws uint64
 }
 
 // NewCountedSource returns a counted source seeded like rand.NewSource.
 func NewCountedSource(seed int64) *CountedSource {
-	return &CountedSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
+	return &CountedSource{src: rand.NewSource(seed).(rand.Source64)}
 }
 
 // Int63 implements rand.Source.
@@ -57,11 +54,8 @@ func (s *CountedSource) Uint64() uint64 {
 // Seed implements rand.Source, resetting the draw count.
 func (s *CountedSource) Seed(seed int64) {
 	s.src.Seed(seed)
-	s.seed, s.draws = seed, 0
+	s.draws = 0
 }
-
-// Seed64 returns the seed of the current stream.
-func (s *CountedSource) Seed64() int64 { return s.seed }
 
 // Draws returns how many values have been drawn since seeding.
 func (s *CountedSource) Draws() uint64 { return s.draws }
@@ -195,7 +189,3 @@ func (d *Dynamics) ImportState(st DynState) error {
 	d.fail = f
 	return nil
 }
-
-// Mix returns the engine's arriving-VM flavor distribution (nil when the
-// engine only applies explicit events).
-func (d *Dynamics) Mix() []cluster.VMType { return d.mix }

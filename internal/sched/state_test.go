@@ -53,7 +53,7 @@ func TestCountedSourceSkipRestoresPosition(t *testing.T) {
 	}
 	pos := src.Draws()
 
-	restored := NewCountedSource(src.Seed64())
+	restored := NewCountedSource(99)
 	restored.Skip(pos)
 	if restored.Draws() != pos {
 		t.Fatalf("draws after skip = %d, want %d", restored.Draws(), pos)
@@ -91,15 +91,15 @@ func buildStateTestDynamics(seed int64) (*Dynamics, *CountedSource) {
 // restoreFromExport rebuilds an engine from an exported state, the way the
 // service snapshot path does: cloned cluster, fresh fast-forwarded source,
 // same constructor arguments, then ImportState.
-func restoreFromExport(t *testing.T, d *Dynamics, src *CountedSource) *Dynamics {
+func restoreFromExport(t *testing.T, d *Dynamics, seed int64, src *CountedSource) *Dynamics {
 	t.Helper()
 	st := d.ExportState()
-	c2 := d.Cluster().Clone()
-	src2 := NewCountedSource(src.Seed64())
+	c2 := d.c.Clone()
+	src2 := NewCountedSource(seed)
 	src2.Skip(src.Draws())
-	d2 := NewDynamics(c2, rand.New(src2), d.Mix(), Constant(3))
-	if spec, on := d.Failures(); on {
-		d2.SetFailures(spec)
+	d2 := NewDynamics(c2, rand.New(src2), d.mix, Constant(3))
+	if d.fail != nil && d.fail.on {
+		d2.SetFailures(d.fail.spec)
 	}
 	if err := d2.ImportState(st); err != nil {
 		t.Fatalf("ImportState: %v", err)
@@ -117,7 +117,7 @@ func TestExportImportBitIdenticalAdvance(t *testing.T) {
 		d, src := buildStateTestDynamics(seed)
 		d.Advance(17) // run into failure territory
 		d.Crash(0)    // guarantee a mid-evacuation snapshot state
-		d2 := restoreFromExport(t, d, src)
+		d2 := restoreFromExport(t, d, seed, src)
 
 		if !reflect.DeepEqual(d.ExportState(), d2.ExportState()) {
 			t.Fatalf("seed %d: restored state differs immediately after import", seed)
@@ -128,7 +128,7 @@ func TestExportImportBitIdenticalAdvance(t *testing.T) {
 			if s1 != s2 {
 				t.Fatalf("seed %d step %d: stats diverged: %+v != %+v", seed, step, s2, s1)
 			}
-			c1, c2 := d.Cluster(), d2.Cluster()
+			c1, c2 := d.c, d2.c
 			if a, b := c1.FragRate(cluster.DefaultFragCores), c2.FragRate(cluster.DefaultFragCores); math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("seed %d step %d: FR diverged: %v != %v", seed, step, b, a)
 			}

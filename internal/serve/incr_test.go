@@ -104,7 +104,7 @@ func TestBareRowsShareRunnerCache(t *testing.T) {
 	ic := policy.NewInferCtx()
 	steps := uint64(0)
 	for !env.Done() {
-		vm, pm, err := s.Infer(context.Background(), env, rand.New(rand.NewSource(3)), policy.SampleOpts{Greedy: true})
+		vm, pm, err := infer(context.Background(), s, env, rand.New(rand.NewSource(3)), policy.SampleOpts{Greedy: true})
 		rvm, rpm, rerr := m.Infer(ic, ref, rand.New(rand.NewSource(3)), policy.SampleOpts{Greedy: true})
 		if vm != rvm || pm != rpm || (err != nil) != (rerr != nil) {
 			t.Fatalf("step %d: served (%d,%d,%v) != standalone (%d,%d,%v)", steps, vm, pm, err, rvm, rpm, rerr)

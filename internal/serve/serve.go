@@ -37,7 +37,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -77,13 +76,6 @@ type Options struct {
 
 // prioKey carries a row's shedding priority in its context.
 type prioKey struct{}
-
-// WithPriority tags ctx with a shedding priority (higher survives longer in
-// degraded mode). Untagged contexts have priority 0; negative priorities
-// mark best-effort work that sheds first.
-func WithPriority(ctx context.Context, p int) context.Context {
-	return context.WithValue(ctx, prioKey{}, p)
-}
 
 // Priority returns ctx's shedding priority (0 when untagged or nil).
 func Priority(ctx context.Context) int {
@@ -347,29 +339,6 @@ func (s *Scheduler) submitMany(ctx context.Context, reqs []policy.WaveReq, cache
 		}
 	}
 	return res, firstErr
-}
-
-// Infer is typed sugar for a WaveInfer Submit: one action for env, identical
-// to Model.Infer with the same rng.
-func (s *Scheduler) Infer(ctx context.Context, env *sim.Env, rng *rand.Rand, opts policy.SampleOpts) (vm, pm int, err error) {
-	res, err := s.Submit(ctx, policy.WaveReq{Kind: policy.WaveInfer, Env: env, Rng: rng, Opts: opts})
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.VM, res.PM, res.Err
-}
-
-// Act is typed sugar for a WaveAct Submit: one retained decision for env,
-// identical to Model.Act with the same rng.
-func (s *Scheduler) Act(ctx context.Context, env *sim.Env, rng *rand.Rand, opts policy.SampleOpts) (*policy.Decision, error) {
-	res, err := s.Submit(ctx, policy.WaveReq{Kind: policy.WaveAct, Env: env, Rng: rng, Opts: opts})
-	if err != nil {
-		return nil, err
-	}
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	return res.Dec, nil
 }
 
 // BatchValues scores every cluster state with the critic head through shared

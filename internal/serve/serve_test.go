@@ -94,6 +94,16 @@ func rolloutSequential(t *testing.T, m *policy.Model, env *sim.Env, kind policy.
 	return recs
 }
 
+// infer serves one WaveInfer row for env through s: one action, identical
+// to Model.Infer with the same rng.
+func infer(ctx context.Context, s *Scheduler, env *sim.Env, rng *rand.Rand, opts policy.SampleOpts) (vm, pm int, err error) {
+	res, err := s.Submit(ctx, policy.WaveReq{Kind: policy.WaveInfer, Env: env, Rng: rng, Opts: opts})
+	if err != nil {
+		return 0, 0, err
+	}
+	return res.VM, res.PM, res.Err
+}
+
 // rolloutScheduler replays the same episode through the shared scheduler.
 func rolloutScheduler(t *testing.T, s *Scheduler, env *sim.Env, kind policy.WaveKind, seed int64, opts policy.SampleOpts, jitter *rand.Rand) []stepRecord {
 	t.Helper()
@@ -109,11 +119,15 @@ func rolloutScheduler(t *testing.T, s *Scheduler, env *sim.Env, kind policy.Wave
 		var vm, pm int
 		switch kind {
 		case policy.WaveAct:
-			dec, err := s.Act(ctx, env, rng, opts)
+			res, err := s.Submit(ctx, policy.WaveReq{Kind: policy.WaveAct, Env: env, Rng: rng, Opts: opts})
+			if err == nil {
+				err = res.Err
+			}
 			if err != nil {
 				recs = append(recs, stepRecord{errSet: true})
 				return recs
 			}
+			dec := res.Dec
 			vm, pm = dec.State.VM, dec.State.PM
 			rec = stepRecord{vm: vm, pm: pm, logProb: dec.LogProb, value: dec.Value, hasDec: true}
 		default:
@@ -124,7 +138,7 @@ func rolloutScheduler(t *testing.T, s *Scheduler, env *sim.Env, kind policy.Wave
 				}
 				rec.value = vals[0]
 			}
-			v, p, err := s.Infer(ctx, env, rng, opts)
+			v, p, err := infer(ctx, s, env, rng, opts)
 			if err != nil {
 				recs = append(recs, stepRecord{errSet: true})
 				return recs
@@ -295,7 +309,7 @@ func TestSchedulerStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const N = 5
 	for i := 0; i < N; i++ {
-		if _, _, err := s.Infer(context.Background(), env, rng, policy.SampleOpts{Greedy: true}); err != nil {
+		if _, _, err := infer(context.Background(), s, env, rng, policy.SampleOpts{Greedy: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,7 +334,7 @@ func TestSchedulerClose(t *testing.T) {
 	m := testModel(policy.TwoStage)
 	s := NewScheduler(m, Options{MaxRows: 8})
 	env := testEnv(t, 43, 3, 9, 4)
-	if _, _, err := s.Infer(context.Background(), env, rand.New(rand.NewSource(1)), policy.SampleOpts{Greedy: true}); err != nil {
+	if _, _, err := infer(context.Background(), s, env, rand.New(rand.NewSource(1)), policy.SampleOpts{Greedy: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

@@ -13,6 +13,12 @@ import (
 	"vmr2l/internal/sim"
 )
 
+// withPriority tags ctx with a shedding priority (higher survives longer in
+// degraded mode; negative marks best-effort work that sheds first).
+func withPriority(ctx context.Context, p int) context.Context {
+	return context.WithValue(ctx, prioKey{}, p)
+}
+
 // waitDepth polls until the scheduler's queue holds want rows.
 func waitDepth(t *testing.T, s *Scheduler, want int) {
 	t.Helper()
@@ -42,7 +48,7 @@ func TestPriorityContext(t *testing.T) {
 	if got := Priority(context.Background()); got != 0 {
 		t.Fatalf("untagged priority %d", got)
 	}
-	if got := Priority(WithPriority(context.Background(), -3)); got != -3 {
+	if got := Priority(withPriority(context.Background(), -3)); got != -3 {
 		t.Fatalf("tagged priority %d", got)
 	}
 }
@@ -60,7 +66,7 @@ func TestShedLowestPriorityFirst(t *testing.T) {
 
 	submit := func(prio int, errCh chan<- error) {
 		env := testEnv(t, 500+int64(prio), 3, 9, 2)
-		_, err := s.Submit(WithPriority(context.Background(), prio), policy.WaveReq{
+		_, err := s.Submit(withPriority(context.Background(), prio), policy.WaveReq{
 			Kind: policy.WaveInfer, Env: env,
 			Rng: rand.New(rand.NewSource(1)), Opts: policy.SampleOpts{Greedy: true},
 		})
@@ -82,7 +88,7 @@ func TestShedLowestPriorityFirst(t *testing.T) {
 
 	// An arrival that is itself the lowest sheds synchronously.
 	env := testEnv(t, 510, 3, 9, 2)
-	_, err := s.Submit(WithPriority(context.Background(), -7), policy.WaveReq{
+	_, err := s.Submit(withPriority(context.Background(), -7), policy.WaveReq{
 		Kind: policy.WaveInfer, Env: env,
 		Rng: rand.New(rand.NewSource(1)), Opts: policy.SampleOpts{Greedy: true},
 	})
@@ -147,7 +153,7 @@ func TestShedDisabledByDefault(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			env := testEnv(t, int64(530+k), 3, 9, 2)
-			if _, err := s.Submit(WithPriority(context.Background(), -k), policy.WaveReq{
+			if _, err := s.Submit(withPriority(context.Background(), -k), policy.WaveReq{
 				Kind: policy.WaveInfer, Env: env,
 				Rng: rand.New(rand.NewSource(int64(k))), Opts: policy.SampleOpts{Greedy: true},
 			}); err != nil {

@@ -37,6 +37,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -223,11 +224,10 @@ func (j *job) dropInputs() {
 type Server struct {
 	mux *http.ServeMux
 
-	mu        sync.RWMutex
-	solvers   map[string]solver.Solver
-	timeouts  map[string]time.Duration
-	fallback  string
-	pinnedDef bool // fallback was set by WithDefaultEngine, not first-registration
+	mu       sync.RWMutex
+	solvers  map[string]solver.Solver
+	timeouts map[string]time.Duration
+	fallback string
 
 	timeout    time.Duration
 	workers    int
@@ -274,12 +274,6 @@ type Server struct {
 
 // Option configures a Server at construction time.
 type Option func(*Server)
-
-// WithDefaultEngine pins the default engine name instead of the
-// first-registered one. The name must eventually be registered.
-func WithDefaultEngine(name string) Option {
-	return func(s *Server) { s.fallback, s.pinnedDef = name, true }
-}
 
 // WithTimeout sets the default per-solve budget. Zero (the default) means
 // the paper's five-second limit.
@@ -328,8 +322,8 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// New builds a server and starts its worker pool. Unless WithDefaultEngine
-// is given, the first registered solver is the default engine.
+// New builds a server and starts its worker pool. The first registered
+// solver is the default engine.
 func New(opts ...Option) *Server {
 	s := &Server{
 		mux:        http.NewServeMux(),
@@ -420,12 +414,12 @@ func (s *Server) enqueue(j *job) bool {
 	}
 }
 
-// Register adds a solver under name; without WithDefaultEngine the first
-// registration becomes the default engine. Safe for concurrent use.
+// Register adds a solver under name; the first registration becomes the
+// default engine. Safe for concurrent use.
 func (s *Server) Register(name string, sv solver.Solver) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fallback == "" && !s.pinnedDef {
+	if s.fallback == "" {
 		s.fallback = name
 	}
 	s.solvers[name] = sv
@@ -479,6 +473,34 @@ func (s *Server) budgetFor(name string, reqMS int) time.Duration {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// maxBodyBytes bounds every request body the service reads. It is the
+// coordinator's proxy bound, far above any real upload (a hyperscale
+// 10k-PM / 100k-VM session snapshot is ~5 MB).
+const maxBodyBytes = 1 << 28
+
+// readBody runs decode over r's body, cut off at maxBodyBytes. It answers
+// 413 for a body over the bound (declared or read) and 400 for any other
+// decode failure, and then returns false.
+func readBody(w http.ResponseWriter, r *http.Request, decode func(io.Reader) error) bool {
+	var err error = &http.MaxBytesError{Limit: maxBodyBytes}
+	if r.ContentLength <= maxBodyBytes {
+		err = decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "decode request: %v", err)
+	}
+	return err == nil
+}
+
+// readJSON decodes r's JSON body into v; see readBody.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	return readBody(w, r, func(b io.Reader) error { return json.NewDecoder(b).Decode(v) })
+}
+
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -491,16 +513,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// parseRequest validates a PlanRequest into a runnable job (not yet queued).
-// The returned error text is client-facing (400).
-func (s *Server) parseRequest(req PlanRequest) (*job, error) {
-	return s.newJob(req, func() (*cluster.Cluster, error) {
+// readPlan decodes and validates a one-shot PlanRequest into a runnable job
+// (not yet queued). On failure it has answered the client and returns false.
+func (s *Server) readPlan(w http.ResponseWriter, r *http.Request) (*job, bool) {
+	var req PlanRequest
+	if !readJSON(w, r, &req) {
+		return nil, false
+	}
+	j, err := s.newJob(req, func() (*cluster.Cluster, error) {
 		c, err := trace.ReadMapping(bytes.NewReader(req.Mapping))
 		if err != nil {
 			return nil, fmt.Errorf("invalid mapping: %v", err)
 		}
 		return c, nil
 	})
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+	}
+	return j, err == nil
 }
 
 // newJob validates the engine-facing half of a PlanRequest (MNL, solver,
@@ -712,14 +742,8 @@ func (s *Server) worker() {
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	j, err := s.parseRequest(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	j, ok := s.readPlan(w, r)
+	if !ok {
 		return
 	}
 	s.submitJob(w, j)
@@ -897,14 +921,8 @@ func (s *Server) handleSolversV2(w http.ResponseWriter, r *http.Request) {
 // handleRescheduleV2 is the synchronous solve: decode, solve under the
 // request's budget, answer with the plan.
 func (s *Server) handleRescheduleV2(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	j, err := s.parseRequest(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	j, ok := s.readPlan(w, r)
+	if !ok {
 		return
 	}
 	resp, timedOut, err := solve(r.Context(), j)

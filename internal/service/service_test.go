@@ -512,21 +512,6 @@ func TestV2SolversMetadata(t *testing.T) {
 	}
 }
 
-func TestWithDefaultEngine(t *testing.T) {
-	s := New(WithDefaultEngine("swap-ha"), WithWorkers(1))
-	t.Cleanup(s.Close)
-	s.Register("ha", heuristics.HA{})
-	s.Register("swap-ha", heuristics.SwapHA{TopK: 6})
-	mapping, _ := mappingJSON(t, 9)
-	w, resp := postPlan(t, s, PlanRequest{MNL: 3, Mapping: mapping})
-	if resp == nil {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
-	if resp.Solver != "SwapHA(6)" {
-		t.Errorf("default engine served %q, want SwapHA(6)", resp.Solver)
-	}
-}
-
 // TestHTTPServerDropsStalledHeader: the production listener disconnects a
 // client that stops part way through its request header instead of holding
 // the connection open forever. The test shortens the header deadline so the
@@ -555,5 +540,64 @@ func TestHTTPServerDropsStalledHeader(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadAll(conn); err != nil {
 		t.Fatalf("stalled client still connected: %v", err)
+	}
+}
+
+// TestOversizeBodyIs413 covers every route that reads a request body: one
+// declared over maxBodyBytes gets 413 before it is read, and creates no job
+// or session and applies no event. The same bodies at their true length
+// are accepted, so the refusal comes from the bound alone.
+func TestOversizeBodyIs413(t *testing.T) {
+	s := testServer(t)
+	mapping, _ := mappingJSON(t, 9)
+	live := createSession(t, s, SessionRequest{Scenario: "static"})
+	gone := createSession(t, s, SessionRequest{ID: "gone", Scenario: "static"})
+	blob := getSnapshot(t, s, gone.ID)
+	s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodDelete, "/v2/clusters/"+gone.ID, nil))
+	body := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	routes := []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodPost, "/v2/jobs", body(PlanRequest{MNL: 3, Mapping: mapping})},
+		{http.MethodPost, "/v2/reschedule", body(PlanRequest{MNL: 3, Mapping: mapping})},
+		{http.MethodPost, "/v2/clusters", body(SessionRequest{Scenario: "static"})},
+		{http.MethodPost, "/v2/clusters/" + live.ID + "/events", body(EventsRequest{AdvanceMinutes: 5})},
+		{http.MethodPost, "/v2/clusters/" + live.ID + "/jobs", body(PlanRequest{MNL: 3})},
+		{http.MethodPut, "/v2/clusters/" + gone.ID + "/snapshot", blob},
+	}
+	send := func(method, path string, b []byte, declared int64) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(method, path, bytes.NewReader(b))
+		r.ContentLength = declared
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		return w
+	}
+	for _, rt := range routes {
+		if w := send(rt.method, rt.path, rt.body, maxBodyBytes+1); w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s: status %d, want 413: %s", rt.method, rt.path, w.Code, w.Body.String())
+		}
+	}
+	s.jobsMu.RLock()
+	jobs := len(s.jobs)
+	s.jobsMu.RUnlock()
+	s.sessMu.RLock()
+	sessions := len(s.sessions)
+	s.sessMu.RUnlock()
+	var st SessionStatus
+	getJSON(t, s, "/v2/clusters/"+live.ID, &st)
+	if jobs != 0 || sessions != 1 || st.Minute != 0 {
+		t.Fatalf("oversize bodies left %d jobs, %d sessions, session minute %d; want 0, 1, 0", jobs, sessions, st.Minute)
+	}
+	for _, rt := range routes {
+		if w := send(rt.method, rt.path, rt.body, int64(len(rt.body))); w.Code/100 != 2 {
+			t.Errorf("%s %s at true length: status %d: %s", rt.method, rt.path, w.Code, w.Body.String())
+		}
 	}
 }

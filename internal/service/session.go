@@ -51,8 +51,7 @@ type SessionRequest struct {
 
 // SessionEvent is one explicit event applied to a session: a VM arrival, a
 // VM exit, or — when Health is set — a PM availability transition (the
-// API-driven face of chaos injection; see sched.ChaosInjector for the
-// random-walk variant).
+// API-driven face of failure injection).
 type SessionEvent struct {
 	// Arrive true adds a VM of the named standard flavor (placed by
 	// best-fit); false removes a VM. Ignored when Health is set.
@@ -236,8 +235,7 @@ const maxAdvanceMinutes = 7 * 24 * 60
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	if jsonUnset(req.Mapping) == (req.Scenario == "") {
@@ -389,8 +387,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EventsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	if req.AdvanceMinutes < 0 || req.AdvanceMinutes > maxAdvanceMinutes {
@@ -467,8 +464,7 @@ func (s *Server) handleSessionJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	if !jsonUnset(req.Mapping) {

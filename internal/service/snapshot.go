@@ -372,10 +372,6 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(blob)
 }
 
-// maxSnapshotBytes bounds a PUT snapshot body; far above any real session
-// (a hyperscale 10k-PM / 100k-VM session is ~5 MB).
-const maxSnapshotBytes = 1 << 28
-
 // handleSnapshotPut serves PUT /v2/clusters/{id}/snapshot: restore (or
 // create) the session at the path id from a snapshot blob. The blob is fully
 // decoded and validated into a staged session first; server state changes
@@ -383,9 +379,8 @@ const maxSnapshotBytes = 1 << 28
 // the re-homing semantic: the coordinator's last snapshot is the truth.
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sess, err := DecodeSnapshot(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	var sess *session
+	if !readBody(w, r, func(b io.Reader) (err error) { sess, err = DecodeSnapshot(b); return err }) {
 		return
 	}
 	if sess.id != id {

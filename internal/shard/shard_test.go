@@ -243,7 +243,7 @@ func TestShardSweepInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := sc.ParseObjective()
+	obj, err := sim.ParseObjective(sc.Objective)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func BenchmarkExtractFeatures(b *testing.B) {
 	e := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Extract(e.Cluster())
+		_ = extract(e.Cluster())
 	}
 }
 
@@ -27,21 +27,6 @@ func BenchmarkTopActions(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = TopActions(e.Cluster(), obj, 16)
-	}
-}
-
-func BenchmarkStepAndFork(b *testing.B) {
-	e := benchEnv(b)
-	acts := TopActions(e.Cluster(), FR16(), 1)
-	if len(acts) == 0 {
-		b.Skip("no action")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := e.Fork()
-		if _, _, err := f.Step(acts[0].VM, acts[0].PM); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

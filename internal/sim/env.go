@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"vmr2l/internal/cluster"
 )
@@ -44,7 +43,7 @@ func DefaultConfig(mnl int) Config {
 }
 
 // Env is a deterministic rescheduling episode over a cluster snapshot.
-// Not safe for concurrent use; clone per goroutine via Fork.
+// Not safe for concurrent use.
 type Env struct {
 	cfg  Config
 	init *cluster.Cluster
@@ -85,46 +84,10 @@ func (e *Env) Reset() {
 	e.plan = e.plan[:0]
 }
 
-// envPool recycles forked environments (and their cluster storage) across
-// the thousands of Fork calls MCTS and risk-seeking sampling make per
-// request. Entries are returned via Release.
-var envPool = sync.Pool{New: func() any { return new(Env) }}
-
-// Fork returns an independent copy of the environment mid-episode, used by
-// search (MCTS) and risk-seeking sampling. The copy comes from an internal
-// pool; call Release when done with it to make the fork allocation-free in
-// steady state (forgetting Release is safe — the copy is then simply
-// garbage-collected).
-func (e *Env) Fork() *Env {
-	cp := envPool.Get().(*Env)
-	cp.cfg = e.cfg
-	cp.init = e.init
-	if cp.c == nil {
-		cp.c = e.c.Clone()
-	} else {
-		cp.c.CopyFrom(e.c)
-	}
-	cp.step, cp.done = e.step, e.done
-	cp.plan = append(cp.plan[:0], e.plan...)
-	return cp
-}
-
-// Release returns a forked environment to the pool. The environment must not
-// be used afterwards. Safe to call on any Env, but intended for Fork copies;
-// plans previously returned by Plan() must be copied out first.
-func (e *Env) Release() {
-	e.init = nil
-	envPool.Put(e)
-}
-
 // Cluster exposes the live cluster state (read-only by convention; note
 // that even aggregate queries like FragRate lazily warm internal caches, so
-// the cluster must stay confined to the environment's goroutine — share
-// across goroutines via Fork, not by handing out this pointer).
+// the cluster must stay confined to the environment's goroutine).
 func (e *Env) Cluster() *cluster.Cluster { return e.c }
-
-// Initial exposes the initial mapping snapshot.
-func (e *Env) Initial() *cluster.Cluster { return e.init }
 
 // StepsTaken returns the number of migrations performed this episode.
 func (e *Env) StepsTaken() int { return e.step }

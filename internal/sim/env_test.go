@@ -15,6 +15,19 @@ func tinyMapping(seed int64) *cluster.Cluster {
 	return trace.MustProfile("tiny").GenerateMapping(rand.New(rand.NewSource(seed)))
 }
 
+// fork copies e mid-episode, so a test can try a step without disturbing e.
+func fork(e *Env) *Env {
+	return &Env{cfg: e.cfg, init: e.init, c: e.c.Clone(), step: e.step, done: e.done,
+		plan: append([]Migration(nil), e.plan...)}
+}
+
+// extract builds the features of c into fresh buffers.
+func extract(c *cluster.Cluster) *Features {
+	f := &Features{}
+	ExtractInto(f, c)
+	return f
+}
+
 // greedyStep picks the legal (vm, pm) with the best immediate reward.
 func greedyStep(e *Env) (int, int, bool) {
 	bestVM, bestPM, best := -1, -1, math.Inf(-1)
@@ -27,7 +40,7 @@ func greedyStep(e *Env) (int, int, bool) {
 			if !c.CanHost(vm, pm) {
 				continue
 			}
-			f := e.Fork()
+			f := fork(e)
 			r, _, err := f.Step(vm, pm)
 			if err != nil {
 				continue
@@ -84,7 +97,7 @@ func TestResetRestoresInitialState(t *testing.T) {
 		t.Error("Reset did not restore initial state")
 	}
 	// Initial snapshot never mutated by stepping.
-	if e.Initial().FragRate(16) != fr0 {
+	if e.init.FragRate(16) != fr0 {
 		t.Error("initial snapshot mutated")
 	}
 }
@@ -139,7 +152,7 @@ func TestRewardTelescoping(t *testing.T) {
 			}
 			total += r
 		}
-		before := float64(e.Initial().Fragment(16)) / 64.0
+		before := float64(e.init.Fragment(16)) / 64.0
 		after := float64(e.Cluster().Fragment(16)) / 64.0
 		return math.Abs(total-(before-after)) < 1e-9
 	}
@@ -161,7 +174,7 @@ func TestMaskSoundness(t *testing.T) {
 					continue
 				}
 				anyPM = true
-				f := e.Fork()
+				f := fork(e)
 				if _, _, err := f.Step(vm, pm); err != nil {
 					t.Logf("masked-legal action failed: vm %d pm %d: %v", vm, pm, err)
 					return false
@@ -281,7 +294,7 @@ func TestApplyPlanSkipsInfeasible(t *testing.T) {
 
 func TestExtractFeatureShapes(t *testing.T) {
 	c := tinyMapping(8)
-	f := Extract(c)
+	f := extract(c)
 	if len(f.PM) != len(c.PMs) || len(f.VM) != len(c.VMs) {
 		t.Fatalf("feature rows mismatch")
 	}
@@ -321,7 +334,7 @@ func TestExtractSingleNumaPadding(t *testing.T) {
 	if err := cl.Place(id2, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	f := Extract(cl)
+	f := extract(cl)
 	// After min-max normalization the single-NUMA VM must have the minimum
 	// (zero) in the NUMA-1 cpu/mem columns, the double-NUMA one the max.
 	if f.VM[id][2] != 0 || f.VM[id][3] != 0 {
@@ -329,25 +342,6 @@ func TestExtractSingleNumaPadding(t *testing.T) {
 	}
 	if f.VM[id2][2] != 1 || f.VM[id2][3] != 1 {
 		t.Errorf("double-numa numa1 request not maximal: %v", f.VM[id2][:4])
-	}
-}
-
-func TestForkIsolation(t *testing.T) {
-	c := tinyMapping(9)
-	e := New(c, DefaultConfig(5))
-	f := e.Fork()
-	vm, pm, ok := greedyStep(f)
-	if !ok {
-		t.Skip("no legal action")
-	}
-	if _, _, err := f.Step(vm, pm); err != nil {
-		t.Fatal(err)
-	}
-	if e.StepsTaken() != 0 || len(e.Plan()) != 0 {
-		t.Error("fork mutation leaked to parent")
-	}
-	if e.FragRate() == f.FragRate() && e.Cluster().VMs[vm].PM == f.Cluster().VMs[vm].PM {
-		t.Error("fork step had no effect")
 	}
 }
 

@@ -134,15 +134,6 @@ func pmRaw(p *cluster.PM, row []float64) {
 	}
 }
 
-// Extract builds the state features for the current cluster of the
-// environment. Each feature dimension is min-max normalized across machines
-// (paper section 3.1); constant dimensions become zero.
-func Extract(c *cluster.Cluster) *Features {
-	f := &Features{}
-	ExtractInto(f, c)
-	return f
-}
-
 // ExtractInto recomputes the features for c into f, reusing f's buffers.
 // Steady-state re-extraction (same cluster shape) performs zero allocations;
 // this is the per-step path of policy rollouts.

@@ -63,7 +63,7 @@ func TestUpdateIntoBitParity(t *testing.T) {
 			t.Fatal("first update must report all rows dirty")
 		}
 		c.ClearDirty()
-		assertFeaturesEqual(t, -1, &inc, Extract(c))
+		assertFeaturesEqual(t, -1, &inc, extract(c))
 		for step := 0; step < 60; step++ {
 			switch rng.Intn(5) {
 			case 0, 1:
@@ -77,7 +77,7 @@ func TestUpdateIntoBitParity(t *testing.T) {
 			}
 			inc.UpdateInto(c, c.DirtyPMs(), c.DirtyVMs(), c.DirtyFull())
 			c.ClearDirty()
-			assertFeaturesEqual(t, step, &inc, Extract(c))
+			assertFeaturesEqual(t, step, &inc, extract(c))
 		}
 	}
 }
@@ -91,12 +91,12 @@ func TestUpdateIntoReportedRowsCoverChanges(t *testing.T) {
 	var inc Features
 	inc.UpdateInto(c, nil, nil, true)
 	c.ClearDirty()
-	prev := Extract(c)
+	prev := extract(c)
 	for step := 0; step < 150; step++ {
 		_ = c.Migrate(rng.Intn(len(c.VMs)), rng.Intn(len(c.PMs)), cluster.DefaultFragCores)
 		res := inc.UpdateInto(c, c.DirtyPMs(), c.DirtyVMs(), c.DirtyFull())
 		c.ClearDirty()
-		cur := Extract(c)
+		cur := extract(c)
 		if !res.PMAll {
 			reported := map[int]bool{}
 			for _, i := range res.PMRows {
@@ -142,7 +142,7 @@ func TestUpdateIntoStaleAfterExtractInto(t *testing.T) {
 	if !res.PMAll || !res.VMAll {
 		t.Fatal("UpdateInto after ExtractInto must fall back to a full refresh")
 	}
-	assertFeaturesEqual(t, 0, &f, Extract(c))
+	assertFeaturesEqual(t, 0, &f, extract(c))
 }
 
 // BenchmarkUpdateIntoSteady measures the steady-state incremental update

@@ -35,7 +35,7 @@ func TestExtractIntoMatchesExtract(t *testing.T) {
 	var reused Features
 	for round := 0; round < 3; round++ {
 		ExtractInto(&reused, c)
-		fresh := Extract(c)
+		fresh := extract(c)
 		if len(fresh.PM) != len(reused.PM) || len(fresh.VM) != len(reused.VM) {
 			t.Fatalf("round %d: shape mismatch", round)
 		}
@@ -76,7 +76,7 @@ func TestExtractIntoMatchesExtract(t *testing.T) {
 	small := hotTestCluster(2)
 	small = smallTruncate(small)
 	ExtractInto(&reused, small)
-	fresh := Extract(small)
+	fresh := extract(small)
 	if len(reused.PM) != len(fresh.PM) || len(reused.VM) != len(fresh.VM) {
 		t.Fatalf("shape change: got %dx%d want %dx%d", len(reused.PM), len(reused.VM), len(fresh.PM), len(fresh.VM))
 	}
@@ -111,42 +111,6 @@ func TestExtractIntoSteadyStateAllocs(t *testing.T) {
 	ExtractInto(&f, c)
 	if allocs := testing.AllocsPerRun(100, func() { ExtractInto(&f, c) }); allocs > 0 {
 		t.Fatalf("steady-state ExtractInto allocates %v times", allocs)
-	}
-}
-
-// TestForkReleaseRoundTrip: a forked env must be independent, and Release
-// must make subsequent forks allocation-light without corrupting state.
-func TestForkReleaseRoundTrip(t *testing.T) {
-	env := New(hotTestCluster(4), DefaultConfig(6))
-	for i := 0; i < 10; i++ {
-		f := env.Fork()
-		// Mutate the fork; the parent must not change.
-		before := env.FragRate()
-		for vm := range f.Cluster().VMs {
-			done := false
-			for pm := range f.Cluster().PMs {
-				if f.Cluster().CanHost(vm, pm) {
-					if _, _, err := f.Step(vm, pm); err != nil {
-						t.Fatal(err)
-					}
-					done = true
-					break
-				}
-			}
-			if done {
-				break
-			}
-		}
-		if env.FragRate() != before {
-			t.Fatal("fork mutation leaked into parent")
-		}
-		if f.StepsTaken() != env.StepsTaken()+1 {
-			t.Fatalf("fork steps %d, parent %d", f.StepsTaken(), env.StepsTaken())
-		}
-		f.Release()
-	}
-	if err := env.Cluster().Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -185,11 +149,11 @@ func TestResetRestoresViaCopyFrom(t *testing.T) {
 	}
 	// The restored cluster must equal the initial mapping VM by VM.
 	for i := range init.VMs {
-		if env.Cluster().VMs[i].PM != env.Initial().VMs[i].PM ||
-			env.Cluster().VMs[i].Numa != env.Initial().VMs[i].Numa {
+		if env.Cluster().VMs[i].PM != env.init.VMs[i].PM ||
+			env.Cluster().VMs[i].Numa != env.init.VMs[i].Numa {
 			t.Fatalf("vm %d: reset placement (%d,%d) != initial (%d,%d)", i,
 				env.Cluster().VMs[i].PM, env.Cluster().VMs[i].Numa,
-				env.Initial().VMs[i].PM, env.Initial().VMs[i].Numa)
+				env.init.VMs[i].PM, env.init.VMs[i].Numa)
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, env.Reset); allocs > 0 {
@@ -221,10 +185,7 @@ func TestBestActionMatchesTopActions(t *testing.T) {
 }
 
 // TestHotPathAllocs pins the per-call heap allocations of the environment
-// operations a rollout repeats: a Step and a pooled Fork+Release allocate
-// nothing once warm, a Fork the pool cannot serve allocates a fixed handful
-// (the env and its cluster's flat slices), and a fresh Extract allocates
-// only its result's buffers.
+// operation a rollout repeats: a Step allocates nothing once warm.
 func TestHotPathAllocs(t *testing.T) {
 	env := New(hotTestCluster(6), Config{MNL: 1 << 30, Obj: FR16()})
 	c := env.Cluster()
@@ -257,21 +218,7 @@ func TestHotPathAllocs(t *testing.T) {
 		step()
 	}
 	env.Reset()
-	for _, tc := range []struct {
-		name string
-		max  float64
-		f    func()
-	}{
-		{"Step", 0, step},
-		{"Fork", 6, func() { _ = env.Fork() }},
-		{"Fork+Release", 0, func() { env.Fork().Release() }},
-		{"Extract", 4, func() { _ = Extract(env.Cluster()) }},
-	} {
-		if tc.name == "Fork+Release" && raceDetectorEnabled {
-			continue // the fork pool drops items at random under the race detector
-		}
-		if got := testing.AllocsPerRun(100, tc.f); got > tc.max {
-			t.Errorf("%s: %v allocs per call, want <= %v", tc.name, got, tc.max)
-		}
+	if got := testing.AllocsPerRun(100, step); got > 0 {
+		t.Errorf("Step: %v allocs per call, want <= 0", got)
 	}
 }

@@ -65,7 +65,7 @@ func TestSwapFeasibleWhereSinglesAreNot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reward equals the exact 16-core fragment delta over the two PMs.
-	before := float64(e.Initial().Fragment(16)) / 64
+	before := float64(e.init.Fragment(16)) / 64
 	after := float64(cc.Fragment(16)) / 64
 	if math.Abs(r-(before-after)) > 1e-12 {
 		t.Fatalf("swap reward %v != fragment delta %v", r, before-after)

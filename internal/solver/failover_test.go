@@ -74,7 +74,7 @@ func TestRepairEvacuatesStranded(t *testing.T) {
 	if err := c.SetHealth(0, cluster.Down); err != nil {
 		t.Fatal(err)
 	}
-	rp := RepairPlan(c, nil)
+	rp := RepairPlanObjective(c, nil, sim.FR16())
 	if rp.Stats.Evacuated != len(vms) || rp.Stats.EvacFailed != 0 {
 		t.Fatalf("stats %+v, want %d evacuated", rp.Stats, len(vms))
 	}
@@ -118,7 +118,7 @@ func TestRepairEvacHonorsPlannedDestination(t *testing.T) {
 	if err := c.SetHealth(0, cluster.Down); err != nil {
 		t.Fatal(err)
 	}
-	rp := RepairPlan(c, plan)
+	rp := RepairPlanObjective(c, plan, sim.FR16())
 	if rp.Stats.Evacuated != len(vms) || rp.Stats.Valid != 0 || rp.Stats.Repaired != 0 || rp.Stats.Dropped != 0 {
 		t.Fatalf("stats %+v: the planned entry must be consumed by its evacuation", rp.Stats)
 	}
@@ -152,7 +152,7 @@ func TestRepairEvacFailedCountsHonestly(t *testing.T) {
 	if err := c.SetHealth(0, cluster.Down); err != nil {
 		t.Fatal(err)
 	}
-	rp := RepairPlan(c, nil)
+	rp := RepairPlanObjective(c, nil, sim.FR16())
 	if rp.Stats.EvacFailed != 1 || rp.Stats.Evacuated != 0 {
 		t.Fatalf("stats %+v, want one failed evacuation", rp.Stats)
 	}
@@ -200,7 +200,7 @@ func TestRepairEvacRequiredRetriesAfterFreedCapacity(t *testing.T) {
 		{VM: mover, FromPM: 1, FromNuma: 0, ToPM: 2},
 		{VM: stuck, FromPM: 0, FromNuma: 0, ToPM: 0},
 	}
-	rp := RepairPlan(c, plan)
+	rp := RepairPlanObjective(c, plan, sim.FR16())
 	if rp.Stats.EvacFailed != 0 || rp.Stats.Evacuated != 1 {
 		t.Fatalf("stats %+v, want the late rescue to move EvacFailed to Evacuated", rp.Stats)
 	}

@@ -200,12 +200,6 @@ type RepairedPlan struct {
 	FinalFR   float64
 }
 
-// RepairPlan validates plan against the live cluster under the default
-// FR16 objective. See RepairPlanObjective.
-func RepairPlan(live *cluster.Cluster, plan []sim.Migration) RepairedPlan {
-	return RepairPlanObjective(live, plan, sim.FR16())
-}
-
 // RepairPlanObjective validates plan against the live cluster and repairs
 // what it can: valid migrations are kept; stale ones are re-fitted to the
 // destination that best improves obj — the same objective the solver

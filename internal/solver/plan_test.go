@@ -133,7 +133,7 @@ func TestValidatePlanCorruptSwapPair(t *testing.T) {
 	if len(checks) != 2 || checks[0].Status != MigrationStaleVMGone {
 		t.Fatalf("checks = %+v, want first stale-vm-gone", checks)
 	}
-	rp := RepairPlan(c, plan)
+	rp := RepairPlanObjective(c, plan, sim.FR16())
 	if rp.Stats.Dropped != 2 || len(rp.Plan) != 0 {
 		t.Fatalf("repair = %+v / %v, want both dropped", rp.Stats, rp.Plan)
 	}
@@ -159,7 +159,7 @@ func TestRepairPlanCounts(t *testing.T) {
 	if err := c.Remove(v2); err != nil {
 		t.Fatal(err)
 	}
-	rp := RepairPlan(c, plan)
+	rp := RepairPlanObjective(c, plan, sim.FR16())
 	if rp.Stats.Valid != 2 || rp.Stats.Dropped != 1 || rp.Stats.Repaired != 0 {
 		t.Fatalf("stats = %+v, want 2 valid / 1 dropped", rp.Stats)
 	}
@@ -203,7 +203,7 @@ func TestRepairPlanRefitsStaleDestination(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rp := RepairPlan(c, plan)
+	rp := RepairPlanObjective(c, plan, sim.FR16())
 	if rp.Stats.Repaired != 1 || rp.Stats.Valid != 0 || rp.Stats.Dropped != 0 {
 		t.Fatalf("stats = %+v, want 1 repaired", rp.Stats)
 	}
@@ -231,7 +231,7 @@ func TestRepairPlanDropsWhenNoImprovingDestination(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rp := RepairPlan(c, plan)
+	rp := RepairPlanObjective(c, plan, sim.FR16())
 	if rp.Stats.Dropped != 1 || len(rp.Plan) != 0 {
 		t.Fatalf("stats = %+v plan %v, want all dropped", rp.Stats, rp.Plan)
 	}
@@ -279,7 +279,7 @@ func TestRepairPlanObjectiveAware(t *testing.T) {
 	}
 
 	c, plan = build()
-	rp = RepairPlan(c, plan) // FR16: the same move only adds CPU fragment
+	rp = RepairPlanObjective(c, plan, sim.FR16()) // FR16: the same move only adds CPU fragment
 	if rp.Stats.Dropped != 1 || len(rp.Plan) != 0 {
 		t.Fatalf("fr16: stats %+v plan %v, want dropped", rp.Stats, rp.Plan)
 	}
@@ -294,7 +294,7 @@ func TestValidatePlanUnknownDestination(t *testing.T) {
 		if st := ValidatePlan(c, plan)[0].Status; st != MigrationStaleDestFull {
 			t.Fatalf("ToPM %d: status %v, want stale-dest-full", toPM, st)
 		}
-		rp := RepairPlan(c, plan)
+		rp := RepairPlanObjective(c, plan, sim.FR16())
 		if got := rp.Stats.Valid + rp.Stats.Repaired + rp.Stats.Dropped; got != 1 {
 			t.Fatalf("ToPM %d: stats %+v", toPM, rp.Stats)
 		}
@@ -320,7 +320,7 @@ func TestRepairPlanUnderChurnAppliesCleanly(t *testing.T) {
 		d := sched.NewDynamics(live, rng, mix, sched.Constant(3))
 		d.Advance(10)
 
-		rp := RepairPlan(live, plan)
+		rp := RepairPlanObjective(live, plan, sim.FR16())
 		if got := rp.Stats.Valid + rp.Stats.Repaired + rp.Stats.Dropped; got != len(plan) {
 			t.Fatalf("seed %d: stats %+v don't cover plan of %d", seed, rp.Stats, len(plan))
 		}
@@ -368,13 +368,12 @@ func greedy(env *sim.Env) {
 				if !c.CanHost(vm, pm) {
 					continue
 				}
-				f := env.Fork()
+				f := sim.New(c, sim.Config{MNL: 1, Obj: env.Objective()})
 				if _, _, err := f.Step(vm, pm); err == nil {
 					if gain := before - f.Value(); gain > bestGain {
 						bestVM, bestPM, bestGain = vm, pm, gain
 					}
 				}
-				f.Release()
 			}
 		}
 		if bestVM < 0 {

@@ -126,27 +126,11 @@ func (ar *Arena) Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// AddRow broadcasts a 1×n row onto every row of a.
-func (ar *Arena) AddRow(a, row *Tensor) *Tensor {
-	if row.Rows != 1 || row.Cols != a.Cols {
-		panic(fmt.Sprintf("tensor: arena AddRow %dx%d + %dx%d", a.Rows, a.Cols, row.Rows, row.Cols))
-	}
-	out := ar.Uninit(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		o := out.Data[i*a.Cols : (i+1)*a.Cols]
-		x := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j := range o {
-			o[j] = x[j] + row.Data[j]
-		}
-	}
-	return out
-}
-
-// AddRowInPlace adds row (1×n) onto every row of a and returns a. The
-// values are identical to AddRow; a's storage is reused instead of a fresh
-// tensor, halving the footprint of bias adds whose input is a single-use
-// intermediate (Linear.Infer's matmul output). a must be a materialized
-// arena tensor the caller owns exclusively — never a view.
+// AddRowInPlace adds row (1×n) onto every row of a and returns a. a's
+// storage is reused instead of a fresh tensor, halving the footprint of
+// bias adds whose input is a single-use intermediate (Linear.Infer's matmul
+// output). a must be a materialized arena tensor the caller owns
+// exclusively — never a view.
 func (ar *Arena) AddRowInPlace(a, row *Tensor) *Tensor {
 	if row.Rows != 1 || row.Cols != a.Cols {
 		panic(fmt.Sprintf("tensor: arena AddRowInPlace %dx%d + %dx%d", a.Rows, a.Cols, row.Rows, row.Cols))
@@ -176,19 +160,6 @@ func (ar *Arena) Scale(a *Tensor, c float64) *Tensor {
 	out := ar.Uninit(a.Rows, a.Cols)
 	for i, v := range a.Data {
 		out.Data[i] = v * c
-	}
-	return out
-}
-
-// ReLU returns max(a, 0).
-func (ar *Arena) ReLU(a *Tensor) *Tensor {
-	out := ar.Uninit(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
 	}
 	return out
 }
@@ -243,17 +214,6 @@ func (ar *Arena) LayerNorm(a, gamma, beta *Tensor, eps float64) *Tensor {
 			o[j] = (v-m)*is*gamma.Data[j] + beta.Data[j]
 		}
 	}
-	return out
-}
-
-// ConcatRows stacks a (p×n) over b (q×n).
-func (ar *Arena) ConcatRows(a, b *Tensor) *Tensor {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: arena ConcatRows cols %d vs %d", a.Cols, b.Cols))
-	}
-	out := ar.Uninit(a.Rows+b.Rows, a.Cols)
-	copy(out.Data, a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
 	return out
 }
 
@@ -521,31 +481,6 @@ func (ar *Arena) Rows(a *Tensor, lo, hi int) *Tensor {
 		panic(fmt.Sprintf("tensor: arena Rows [%d:%d) of %d", lo, hi, a.Rows))
 	}
 	return ar.view(a.Data[lo*a.Cols:hi*a.Cols], hi-lo, a.Cols)
-}
-
-// GatherRows copies rows by index.
-func (ar *Arena) GatherRows(a *Tensor, idx []int) *Tensor {
-	out := ar.Uninit(len(idx), a.Cols)
-	for r, i := range idx {
-		if i < 0 || i >= a.Rows {
-			panic(fmt.Sprintf("tensor: arena GatherRows index %d of %d", i, a.Rows))
-		}
-		copy(out.Data[r*a.Cols:(r+1)*a.Cols], a.Data[i*a.Cols:(i+1)*a.Cols])
-	}
-	return out
-}
-
-// RepeatRow tiles row (1×n) into (m×n) — the inference replacement for the
-// ones-vector MatMul broadcast.
-func (ar *Arena) RepeatRow(row *Tensor, m int) *Tensor {
-	if row.Rows != 1 {
-		panic(fmt.Sprintf("tensor: arena RepeatRow on %dx%d", row.Rows, row.Cols))
-	}
-	out := ar.Uninit(m, row.Cols)
-	for i := 0; i < m; i++ {
-		copy(out.Data[i*row.Cols:(i+1)*row.Cols], row.Data)
-	}
-	return out
 }
 
 // Transpose returns aᵀ.

@@ -82,7 +82,7 @@ func TestGroupedAttentionGradients(t *testing.T) {
 		n, d := 2+rng.Intn(8), 1+rng.Intn(6)
 		mk := func() (*Tensor, *Tensor) {
 			a := randTensor(rng, n, d)
-			b := a.Clone()
+			b := fromSlice(n, d, a.Data)
 			return a.Param(), b.Param()
 		}
 		q1, q2 := mk()

@@ -214,38 +214,6 @@ func Affine(x, w, b *Tensor) *Tensor {
 	return out
 }
 
-// AddRow broadcasts a 1×n row vector onto every row of a (m×n).
-func AddRow(a, row *Tensor) *Tensor {
-	if row.Rows != 1 || row.Cols != a.Cols {
-		panic(fmt.Sprintf("tensor: AddRow %dx%d + %dx%d", a.Rows, a.Cols, row.Rows, row.Cols))
-	}
-	out := child(a.Rows, a.Cols, a, row)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			out.Data[i*a.Cols+j] = a.Data[i*a.Cols+j] + row.Data[j]
-		}
-	}
-	if out.requiresGrad {
-		out.backward = func() {
-			if a.requiresGrad {
-				a.ensureGrad()
-				for i := range out.Grad {
-					a.Grad[i] += out.Grad[i]
-				}
-			}
-			if row.requiresGrad {
-				row.ensureGrad()
-				for i := 0; i < a.Rows; i++ {
-					for j := 0; j < a.Cols; j++ {
-						row.Grad[j] += out.Grad[i*a.Cols+j]
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // ReLU returns max(a, 0).
 func ReLU(a *Tensor) *Tensor {
 	out := child(a.Rows, a.Cols, a)
@@ -261,23 +229,6 @@ func ReLU(a *Tensor) *Tensor {
 				if v > 0 {
 					a.Grad[i] += out.Grad[i]
 				}
-			}
-		}
-	}
-	return out
-}
-
-// Tanh returns tanh(a).
-func Tanh(a *Tensor) *Tensor {
-	out := child(a.Rows, a.Cols, a)
-	for i, v := range a.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			for i := range out.Data {
-				a.Grad[i] += out.Grad[i] * (1 - out.Data[i]*out.Data[i])
 			}
 		}
 	}

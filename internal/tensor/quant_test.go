@@ -158,7 +158,7 @@ func TestLinearQ8ZeroRow(t *testing.T) {
 	ar := &Arena{}
 	x := New(2, 8) // all-zero activations: scale 0, result must be exactly bias
 	w := randTensor(rand.New(rand.NewSource(5)), 8, 4)
-	bias := FromSlice(1, 4, []float64{1, -2, 3, -4})
+	bias := fromSlice(1, 4, []float64{1, -2, 3, -4})
 	got := ar.LinearQ8(x, w2q(w), bias)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 4; j++ {

@@ -28,7 +28,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -55,19 +54,6 @@ func New(rows, cols int) *Tensor { return (*GraphPool)(nil).New(rows, cols) }
 // tensors.
 func (t *Tensor) Pool() *GraphPool { return t.pool }
 
-// FromSlice wraps row-major data (copied) into a rows×cols tensor.
-func FromSlice(rows, cols int, data []float64) *Tensor {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: FromSlice %dx%d with %d values", rows, cols, len(data)))
-	}
-	t := New(rows, cols)
-	copy(t.Data, data)
-	return t
-}
-
-// FromRows builds a heap tensor from equal-length rows.
-func FromRows(rows [][]float64) *Tensor { return (*GraphPool)(nil).FromRows(rows) }
-
 // Randn fills a new tensor with Gaussian values scaled by std.
 func Randn(rng *rand.Rand, rows, cols int, std float64) *Tensor {
 	t := New(rows, cols)
@@ -86,28 +72,12 @@ func (t *Tensor) Param() *Tensor {
 	return t
 }
 
-// RequiresGrad reports whether the tensor participates in autodiff.
-func (t *Tensor) RequiresGrad() bool { return t.requiresGrad }
-
-// At returns element (i, j).
-func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols+j] }
-
-// Set assigns element (i, j).
-func (t *Tensor) Set(i, j int, v float64) { t.Data[i*t.Cols+j] = v }
-
 // Scalar returns the single element of a 1×1 tensor.
 func (t *Tensor) Scalar() float64 {
 	if t.Rows*t.Cols != 1 {
 		panic(fmt.Sprintf("tensor: Scalar on %dx%d", t.Rows, t.Cols))
 	}
 	return t.Data[0]
-}
-
-// Clone returns a detached copy (no graph history, not a parameter).
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Rows, t.Cols)
-	copy(c.Data, t.Data)
-	return c
 }
 
 // child builds a result tensor wired into the graph when any parent
@@ -179,19 +149,5 @@ func (t *Tensor) Backward() {
 func (t *Tensor) ZeroGrad() {
 	for i := range t.Grad {
 		t.Grad[i] = 0
-	}
-}
-
-// Detach returns a view of the data with no graph history (shares storage).
-func (t *Tensor) Detach() *Tensor {
-	return &Tensor{Data: t.Data, Rows: t.Rows, Cols: t.Cols}
-}
-
-// checkFinite panics on NaN/Inf — used by tests and training assertions.
-func (t *Tensor) CheckFinite(label string) {
-	for _, v := range t.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			panic(fmt.Sprintf("tensor: non-finite value in %s", label))
-		}
 	}
 }

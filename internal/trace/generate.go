@@ -115,18 +115,6 @@ func bestFitPlace(c *cluster.Cluster, id int, rng *rand.Rand) bool {
 	return true
 }
 
-// usedCPUFrac returns the fraction of total cluster CPU in use.
-func usedCPUFrac(c *cluster.Cluster) float64 {
-	capTotal, free := 0, c.FreeCPU()
-	for i := range c.PMs {
-		capTotal += c.PMs[i].CPUCap()
-	}
-	if capTotal == 0 {
-		return 0
-	}
-	return float64(capTotal-free) / float64(capTotal)
-}
-
 // GenerateMapping synthesizes one VM-PM mapping for the profile:
 //  1. fill: best-fit place VMs sampled from the mix until the (jittered)
 //     target usage would be exceeded,
@@ -158,7 +146,7 @@ func (p Profile) GenerateMapping(rng *rand.Rand) *cluster.Cluster {
 	}
 	// Track usage incrementally: total capacity is fixed after PM creation
 	// and FreeCPU is an O(1) aggregate, so the fill loop never rescans the
-	// fleet (usedCPUFrac would cost O(PMs) per placement).
+	// fleet (a rescan would cost O(PMs) per placement).
 	capTotal := 0
 	for i := range c.PMs {
 		capTotal += c.PMs[i].CPUCap()

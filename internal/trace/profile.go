@@ -49,18 +49,6 @@ type Profile struct {
 	MemRatioValues []int
 }
 
-func uniformMix(names ...string) []TypeWeight {
-	mix := make([]TypeWeight, 0, len(names))
-	for _, n := range names {
-		t, ok := cluster.TypeByName(n)
-		if !ok {
-			panic(fmt.Sprintf("trace: unknown vm type %q", n))
-		}
-		mix = append(mix, TypeWeight{Type: t, Weight: 1})
-	}
-	return mix
-}
-
 // skewedMix weights small flavors higher, matching production clusters where
 // proxies and monitors dominate counts while 4xlarge dominates capacity.
 func skewedMix(weights map[string]float64) []TypeWeight {

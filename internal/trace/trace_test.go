@@ -10,6 +10,18 @@ import (
 	"vmr2l/internal/cluster"
 )
 
+// usedCPUFrac returns the fraction of total cluster CPU in use.
+func usedCPUFrac(c *cluster.Cluster) float64 {
+	capTotal, free := 0, c.FreeCPU()
+	for i := range c.PMs {
+		capTotal += c.PMs[i].CPUCap()
+	}
+	if capTotal == 0 {
+		return 0
+	}
+	return float64(capTotal-free) / float64(capTotal)
+}
+
 func TestProfilesKnownNames(t *testing.T) {
 	names := []string{
 		"medium", "medium-small", "tiny", "large", "large-small",
